@@ -53,8 +53,11 @@ object Metric {
 /** DG [Charikar'00]: f(S) = |E[S]| — every edge weighs 1, vertices 0. */
 case object DG extends Metric {
   val name = "DG"; val k = 2; val edgeBased = true
-  def prepare(g: LocalGraph): LocalGraph =
-    g.mapEdgeWeights((_, _, _) => 1.0).mapVertexWeights(_ => 0.0)
+  def prepare(g: LocalGraph): LocalGraph = {
+    val ones = new Array[Double](g.nbrs.length)
+    java.util.Arrays.fill(ones, 1.0)
+    new LocalGraph(g.n, g.offsets, g.nbrs, ones, new Array[Double](g.n))
+  }
 }
 
 /** DW [Gudapati et al.]: f(S) = Σ c_ij — raw edge weights, vertices 0. */
@@ -121,23 +124,11 @@ trait MetricState {
 /** Edge-sum peeling state for DG/DW/FD: w_u = a_u + Σ_{v∈S∩N(u)} c_uv. */
 final class EdgeMetricState(g: LocalGraph) extends MetricState {
   val n: Int = g.n
-  private val act = Array.fill(n)(true)
+  private val act = new Array[Boolean](n)
+  java.util.Arrays.fill(act, true)
   private var cnt = n
-  private val wArr = {
-    val a = new Array[Double](n)
-    var u = 0
-    while (u < n) {
-      var s = g.vw(u); var i = g.offsets(u)
-      while (i < g.offsets(u + 1)) { s += g.ew(i); i += 1 }
-      a(u) = s; u += 1
-    }
-    a
-  }
-  private var fVal = {
-    var s = 0.0; var u = 0
-    while (u < n) { s += g.vw(u); u += 1 }
-    s + g.totalEdgeWeight
-  }
+  private val wArr = EdgeMetricState.initialWeights(g)
+  private var fVal = EdgeMetricState.initialF(g)
 
   def activeCount: Int = cnt
   def isActive(u: Int): Boolean = act(u)
@@ -162,6 +153,32 @@ final class EdgeMetricState(g: LocalGraph) extends MetricState {
     }
     act(u) = false; wArr(u) = 0.0; cnt -= 1
     if (cnt == 0) fVal = 0.0
+  }
+}
+
+object EdgeMetricState {
+  // The setup loops live here rather than in the constructor's field
+  // initialisers: a constructor runs once per state, so its loops only reach
+  // compiled code through on-stack replacement, while a method is compiled
+  // whole and reused across states.
+
+  /** Initial peeling weights over all of `g`: w_u = a_u + Σ_{v∈N(u)} c_uv. */
+  def initialWeights(g: LocalGraph): Array[Double] = {
+    val a = new Array[Double](g.n)
+    var u = 0
+    while (u < g.n) {
+      var s = g.vw(u); var i = g.offsets(u)
+      while (i < g.offsets(u + 1)) { s += g.ew(i); i += 1 }
+      a(u) = s; u += 1
+    }
+    a
+  }
+
+  /** Initial f(V) = Σ a_u + Σ_{edges} c_uv. */
+  def initialF(g: LocalGraph): Double = {
+    var s = 0.0; var u = 0
+    while (u < g.n) { s += g.vw(u); u += 1 }
+    s + g.totalEdgeWeight
   }
 }
 

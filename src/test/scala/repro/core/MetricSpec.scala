@@ -60,6 +60,19 @@ class MetricSpec extends AnyFunSuite {
     expected.zipWithIndex.foreach { case (w, u) => assert(math.abs(st.w(u) - w) < 1e-12) }
   }
 
+  test("property: a fresh EdgeMetricState's w and f match direct recomputation") {
+    forAll(TestGraphs.genGraph(maxN = 10), n = 20) { g =>
+      for (m <- Seq(DG, DW, FD)) {
+        val st = new EdgeMetricState(m.prepare(g))
+        val all = (0 until g.n).toSet
+        all.foreach(u => assert(st.w(u) == TestGraphs.directWeight(m, g, all, u), s"${m.name} w($u)"))
+        val fExpect = TestGraphs.subsetDensity(m, g, (1 << g.n) - 1) * g.n
+        assert(math.abs(st.f - fExpect) < 1e-9, s"${m.name} f")
+        assert(st.activeCount == g.n && all.forall(st.isActive), m.name)
+      }
+    }
+  }
+
   test("EdgeMetricState removal decreases f by the peeling weight") {
     val st = DW.localState(TestGraphs.paperExample)
     val before = st.f

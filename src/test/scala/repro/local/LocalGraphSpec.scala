@@ -1,7 +1,8 @@
 package repro.local
 
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
-import repro.testkit.{Check, TestGraphs}
+import repro.testkit.TestGraphs
 import repro.testkit.Check.forAll
 
 class LocalGraphSpec extends AnyFunSuite {
@@ -87,6 +88,30 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("non-finite edge weights are rejected, naming the edge") {
+    for (w <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException] {
+        LocalGraph.fromEdges(3, Seq((0, 1, 1.0), (2, 1, w)))
+      }
+      assert(e.getMessage.contains("(2,1)"), e.getMessage)
+    }
+  }
+
+  test("non-finite vertex weights are rejected, naming the vertex") {
+    for (w <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val e = intercept[IllegalArgumentException] {
+        LocalGraph.fromEdges(3, Seq((0, 1, 1.0)), Array(0.0, 0.0, w))
+      }
+      assert(e.getMessage.contains("vertex 2"), e.getMessage)
+    }
+  }
+
+  test("negative endpoints are rejected") {
+    assertThrows[IllegalArgumentException] {
+      LocalGraph.fromEdges(2, Seq((-1, 1, 1.0)))
+    }
+  }
+
   test("isolated vertices are representable") {
     val h = LocalGraph.fromEdges(5, Seq((0, 1, 1.0)))
     assert(h.n == 5 && h.degree(4) == 0)
@@ -103,6 +128,69 @@ class LocalGraphSpec extends AnyFunSuite {
       val set = h.canonicalEdges.map(e => (e._1, e._2)).toSet
       for (u <- 0 until h.n; v <- 0 until h.n if u != v)
         assert(h.hasEdge(u, v) == (set.contains((u, v)) || set.contains((v, u))))
+    }
+  }
+
+  /** The straightforward build: coalesce through a map keyed by the
+    * canonical pair (summing in input order), then sort each adjacency list.
+    */
+  private def referenceBuild(n: Int, edges: Seq[(Int, Int, Double)],
+                             vertexWeights: Array[Double]): LocalGraph = {
+    val coalesced = new java.util.HashMap[Long, Double]()
+    edges.foreach { case (a, b, w) =>
+      if (a != b) {
+        val (u, v) = if (a < b) (a, b) else (b, a)
+        coalesced.merge(u.toLong * n + v, w, (x, y) => x + y)
+      }
+    }
+    val deg = new Array[Int](n)
+    coalesced.forEach { (key, _) => deg((key / n).toInt) += 1; deg((key % n).toInt) += 1 }
+    val offsets = deg.scanLeft(0)(_ + _)
+    val pos = offsets.clone()
+    val nbrs = new Array[Int](offsets(n))
+    val ew = new Array[Double](offsets(n))
+    coalesced.forEach { (key, w) =>
+      val a = (key / n).toInt; val b = (key % n).toInt
+      nbrs(pos(a)) = b; ew(pos(a)) = w; pos(a) += 1
+      nbrs(pos(b)) = a; ew(pos(b)) = w; pos(b) += 1
+    }
+    for (u <- 0 until n) {
+      val idx = (offsets(u) until offsets(u + 1)).sortBy(nbrs)
+      val nn = idx.map(nbrs); val we = idx.map(ew)
+      idx.indices.foreach { j => nbrs(offsets(u) + j) = nn(j); ew(offsets(u) + j) = we(j) }
+    }
+    new LocalGraph(n, offsets, nbrs, ew,
+      if (vertexWeights != null) vertexWeights else new Array[Double](n))
+  }
+
+  /** Raw triples over few vertices: many duplicates in both orientations,
+    * self-loops, isolated vertices, weights of mixed magnitude (so summation
+    * order shows in the bits), and n = 0.
+    */
+  private val genRaw: Gen[(Int, Seq[(Int, Int, Double)], Array[Double])] =
+    for {
+      n <- Gen.frequency(1 -> Gen.const(0), 9 -> Gen.choose(1, 14))
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield {
+      val rnd = new scala.util.Random(seed)
+      val used = 1 + rnd.nextInt(math.max(1, n)) // vertices >= used stay isolated
+      val m = if (n == 0) 0 else rnd.nextInt(4 * n + 1)
+      val edges = Seq.fill(m) {
+        (rnd.nextInt(used), rnd.nextInt(used), rnd.nextDouble() * math.pow(10, rnd.nextInt(7) - 3))
+      }
+      val vw = if (rnd.nextBoolean()) Array.fill(n)(rnd.nextDouble()) else null
+      (n, edges, vw)
+    }
+
+  test("property: the build matches the map-and-sort reference bit for bit") {
+    forAll(genRaw, n = 200) { case (n, edges, vw) =>
+      val got = LocalGraph.fromEdges(n, edges, vw)
+      val want = referenceBuild(n, edges, vw)
+      assert(got.n == want.n)
+      assert(java.util.Arrays.equals(got.offsets, want.offsets), "offsets")
+      assert(java.util.Arrays.equals(got.nbrs, want.nbrs), "nbrs")
+      assert(java.util.Arrays.equals(got.ew, want.ew), "ew")
+      assert(java.util.Arrays.equals(got.vw, want.vw), "vw")
     }
   }
 }
