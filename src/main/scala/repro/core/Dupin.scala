@@ -45,7 +45,9 @@ final class Dupin(spark: SparkSession) {
   }
 
   /** Load a graph: `vertices` needs an `id` column (other columns feed
-    * VSusp/isBenign); `edges` needs `src`, `dst` (others feed ESusp).
+    * VSusp/isBenign); `edges` needs `src`, `dst` (others feed ESusp), and
+    * every endpoint must be an `id` of `vertices` (benign ones included) —
+    * `ParDetect` rejects a dangling edge.
     */
   def LoadGraph(vertices: DataFrame, edges: DataFrame): this.type = {
     loaded = Some((vertices, edges)); this
@@ -54,6 +56,13 @@ final class Dupin(spark: SparkSession) {
   /** Run parallel detection; returns the vertex ids of S^p. */
   def ParDetect(): Array[Long] = {
     val (vRaw, eRaw) = loaded.getOrElse(throw new IllegalStateException("LoadGraph first"))
+    // An endpoint outside `vertices` would count in f but never in |S|.
+    val dangling = eRaw.select(col("src").cast("long").as("id"))
+      .union(eRaw.select(col("dst").cast("long").as("id")))
+      .join(vRaw.select(col("id").cast("long")), Seq("id"), "left_anti")
+      .agg(min("id")).head.get(0)
+    if (dangling != null)
+      throw new IllegalArgumentException(s"edge endpoint $dangling is not a row of vertices")
     val vAll = vRaw.withColumn("vw", vsusp.cast("double"))
       .withColumn("benign", benign.getOrElse(lit(false)))
     val benignIds = vAll.filter(col("benign")).select(col("id").cast("long"))

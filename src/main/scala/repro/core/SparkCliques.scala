@@ -7,9 +7,9 @@ import org.apache.spark.sql.functions._
   *
   * Input edges must be undirected-canonical (`src < dst`), which makes the
   * enumeration orders `a < b < c (< d)` automatic so every clique is listed
-  * exactly once. These counts are the peeling weights of TDS/kCLiDS in the
-  * Spark engine; tests check them against brute force and a DuckDB SQL
-  * oracle.
+  * exactly once. The Spark engine lists the cliques once per TDS/kCLiDS
+  * run and derives every round's peeling weights from that table; tests
+  * check listings and counts against brute force and a DuckDB SQL oracle.
   */
 object SparkCliques {
 
@@ -30,14 +30,21 @@ object SparkCliques {
       .select("a", "b", "c", "d")
   }
 
+  /** The member columns of a k-clique listing: a, b, c (, d). */
+  def columns(k: Int): Seq[String] = Seq("a", "b", "c", "d").take(k)
+
+  /** k-cliques for k in {3,4}, one row each, with columns `columns(k)`. */
+  def cliques(edges: DataFrame, k: Int): DataFrame = {
+    require(k == 3 || k == 4, s"k=$k unsupported")
+    if (k == 3) triangles(edges) else fourCliques(edges)
+  }
+
   /** Per-vertex k-clique participation counts (id, cnt) for k in {3,4}.
     * Vertices in no clique are absent — callers coalesce to 0.
     */
   def cliqueCounts(edges: DataFrame, k: Int): DataFrame = {
-    require(k == 3 || k == 4, s"k=$k unsupported")
-    val cl = if (k == 3) triangles(edges) else fourCliques(edges)
-    val cols = if (k == 3) Seq("a", "b", "c") else Seq("a", "b", "c", "d")
-    cols.map(c => cl.select(col(c).as("id")))
+    val cl = cliques(edges, k)
+    columns(k).map(c => cl.select(col(c).as("id")))
       .reduce(_ union _)
       .groupBy("id").agg(count(lit(1)).cast("double").as("cnt"))
   }

@@ -76,6 +76,24 @@ class DupinApiSpec extends SparkSpec {
     assert(res.toSeq == (0L until 5L))
   }
 
+  // A triangle {1,2,3} whose vertex frame lacks the far ends 7, 8, 9 of
+  // three more edges; the error names the smallest.
+  private def rejectsDangling(dupin: Dupin): Unit = {
+    val vertices = Seq(1L, 2L, 3L).map(id => (id, 0.0)).toDF("id", "prior")
+    val edges = Seq((1L, 2L), (2L, 3L), (1L, 3L), (1L, 7L), (2L, 8L), (3L, 9L))
+      .map { case (a, b) => (a, b, 1.0) }.toDF("src", "dst", "amount")
+    val err = intercept[IllegalArgumentException](dupin.LoadGraph(vertices, edges).ParDetect())
+    assert(err.getMessage.contains("endpoint 7 "), err.getMessage)
+  }
+
+  test("ParDetect rejects an edge whose endpoint is not a vertex (edge metric)") {
+    rejectsDangling(new Dupin(spark))
+  }
+
+  test("ParDetect rejects an edge whose endpoint is not a vertex (setK(3))") {
+    rejectsDangling(new Dupin(spark).setK(3))
+  }
+
   test("setEpsilon validates input, ParDetect requires LoadGraph") {
     val dupin = new Dupin(spark)
     assertThrows[IllegalArgumentException](dupin.setEpsilon(-0.5))

@@ -1,5 +1,8 @@
 package repro.core
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.local.{DupinLocal, LocalGraph}
@@ -95,6 +98,7 @@ class SparkPeelingSpec extends SparkSpec {
         assert(spk.rounds == loc.rounds, s"rounds gpo=$gpo lpo=$lpo")
         assert(spk.bestDensity == loc.bestDensity, s"density gpo=$gpo lpo=$lpo")
         assert(spk.bestSet.map(_.toInt).toSeq == loc.bestSet.toSeq, s"set gpo=$gpo lpo=$lpo")
+        assert(spk.history == loc.history, s"history gpo=$gpo lpo=$lpo")
       }
     }
   }
@@ -121,11 +125,70 @@ class SparkPeelingSpec extends SparkSpec {
 
   test("cross-engine: TDS identical results (integer counts)") {
     forAll(TestGraphs.genGraph(maxN = 9, p = 0.6), n = 4) { g =>
-      val loc = DupinLocal.run(TDS, g, localCfg(0.1, false, false))
-      val spk = SparkPeeling.run(spark, sg(g), TDS, sparkCfg(0.1, false, false))
+      for ((gpo, lpo) <- Seq((false, false), (true, true))) {
+        val loc = DupinLocal.run(TDS, g, localCfg(0.1, gpo, lpo))
+        val spk = SparkPeeling.run(spark, sg(g), TDS, sparkCfg(0.1, gpo, lpo))
+        assert(spk.bestDensity == loc.bestDensity, s"density gpo=$gpo lpo=$lpo")
+        assert(spk.bestSet.map(_.toInt).toSeq == loc.bestSet.toSeq, s"set gpo=$gpo lpo=$lpo")
+        assert(spk.history == loc.history, s"history gpo=$gpo lpo=$lpo")
+      }
+    }
+  }
+
+  test("cross-engine: kCLiDS-4 identical results (integer counts)") {
+    forAll(TestGraphs.genGraph(maxN = 9, p = 0.75), n = 4) { g =>
+      val loc = DupinLocal.run(KCliDS(4), g, localCfg(0.1, true, true))
+      val spk = SparkPeeling.run(spark, sg(g), KCliDS(4), sparkCfg(0.1, true, true))
       assert(spk.bestDensity == loc.bestDensity)
       assert(spk.bestSet.map(_.toInt).toSeq == loc.bestSet.toSeq)
     }
+  }
+
+  test("maxRounds cuts a run short and the result says so") {
+    val g = sg(TestGraphs.cliqueWithTail(6, 8))
+    val cut = SparkPeeling.run(spark, g, DG, SparkPeeling.Config(maxRounds = 1))
+    assert(cut.rounds == 1)
+    assert(cut.truncated)
+    val full = SparkPeeling.run(spark, g, DG)
+    assert(full.rounds > 1)
+    assert(!full.truncated)
+  }
+
+  test("TDS under GPO+LPO stays within a Spark-job budget per snapshot") {
+    // On this graph the run takes 21 jobs over 3 snapshots (7.0 each):
+    // the triangles are listed once and each peel filters that table.
+    // Re-running the self-join every snapshot and observing the last LPO
+    // pass's S twice took 50 jobs over 3 snapshots (16.7 each).
+    val bound = 10.0
+    val g = sg(TestGraphs.cliqueWithTail(8, 30))
+    val sc = spark.sparkContext
+    val (group, marker) = ("job-budget", "job-budget-marker")
+    val jobs = new AtomicInteger()
+    val drained = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(js: SparkListenerJobStart): Unit =
+        Option(js.properties).map(_.getProperty("spark.jobGroup.id")) match {
+          case Some(`group`) => jobs.incrementAndGet()
+          case Some(`marker`) => drained.countDown()
+          case _ =>
+        }
+    }
+    sc.addSparkListener(listener)
+    val res = try {
+      sc.setJobGroup(group, "TDS job budget")
+      val r = SparkPeeling.run(spark, g, TDS, sparkCfg(0.1, true, true))
+      // The bus delivers events in order: once the marker job's start has
+      // arrived, so has every job start of the run.
+      sc.setJobGroup(marker, "drain the listener bus")
+      sc.parallelize(Seq(1), 1).count()
+      assert(drained.await(60, TimeUnit.SECONDS), "listener bus did not drain")
+      r
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+    val perSnapshot = jobs.get.toDouble / res.history.size
+    assert(perSnapshot < bound, s"${jobs.get} jobs over ${res.history.size} snapshots")
   }
 
   test("Theorem 4.2 holds on the Spark engine (DW, brute-force opt)") {
