@@ -22,62 +22,56 @@ object Par {
   private def pool(t: Int): ForkJoinPool =
     pools.computeIfAbsent(t, n => new ForkJoinPool(n))
 
+  /** First index of chunk `c` when `[0, n)` is cut into `chunks` near-equal
+    * contiguous chunks; chunk `c` is `[chunkStart(n, c, chunks),
+    * chunkStart(n, c + 1, chunks))`.
+    */
+  def chunkStart(n: Int, c: Int, chunks: Int): Int = (n.toLong * c / chunks).toInt
+
   /** `parallel_for i in [0, n)` over `t` threads using static block
     * partitioning. `minPar` is the sequential cutoff: leave the default for
     * light loop bodies (array scans); pass a small value when each
     * iteration is heavy (clique enumeration) so small ranges still fan out.
     */
   def parallelFor(n: Int, t: Int, minPar: Int = 2048)(body: Int => Unit): Unit = {
-    if (t <= 1 || n < minPar) {
-      var i = 0; while (i < n) { body(i); i += 1 }
-    } else {
-      val chunks = t * 4
-      val next   = new AtomicInteger(0)
-      val tasks = (0 until t).map { _ =>
-        pool(t).submit(new Runnable {
-          def run(): Unit = {
-            var c = next.getAndIncrement()
-            while (c < chunks) {
-              val lo = (n.toLong * c / chunks).toInt
-              val hi = (n.toLong * (c + 1) / chunks).toInt
-              var i = lo; while (i < hi) { body(i); i += 1 }
-              c = next.getAndIncrement()
-            }
-          }
-        })
-      }
-      tasks.foreach(_.join())
+    val chunks = if (t <= 1 || n < minPar) 1 else t * 4
+    parallelForChunks(chunks, t) { c =>
+      var i = chunkStart(n, c, chunks); val hi = chunkStart(n, c + 1, chunks)
+      while (i < hi) { body(i); i += 1 }
     }
   }
 
   /** `parallel_sum` of `term(i)` for i in [0, n). */
   def parallelSum(n: Int, t: Int)(term: Int => Double): Double = {
-    if (t <= 1 || n < 2048) {
-      var s = 0.0; var i = 0; while (i < n) { s += term(i); i += 1 }; s
-    } else {
-      val partial = new Array[Double](t * 4)
-      val chunks  = t * 4
-      parallelForChunks(chunks, t) { c =>
-        val lo = (n.toLong * c / chunks).toInt
-        val hi = (n.toLong * (c + 1) / chunks).toInt
-        var s = 0.0; var i = lo
-        while (i < hi) { s += term(i); i += 1 }
-        partial(c) = s
-      }
-      partial.sum
+    val chunks  = if (t <= 1 || n < 2048) 1 else t * 4
+    val partial = new Array[Double](chunks)
+    parallelForChunks(chunks, t) { c =>
+      var s = 0.0; var i = chunkStart(n, c, chunks); val hi = chunkStart(n, c + 1, chunks)
+      while (i < hi) { s += term(i); i += 1 }
+      partial(c) = s
     }
+    partial.sum
   }
 
-  private def parallelForChunks(chunks: Int, t: Int)(body: Int => Unit): Unit = {
-    val next = new AtomicInteger(0)
-    val tasks = (0 until t).map { _ =>
-      pool(t).submit(new Runnable {
-        def run(): Unit = {
-          var c = next.getAndIncrement()
-          while (c < chunks) { body(c); c = next.getAndIncrement() }
-        }
-      })
+  /** Runs `body(c)` exactly once for every chunk `c` in `[0, chunks)`: up to
+    * `t` workers each take the next unclaimed chunk until none is left.
+    * `t <= 1` or a single chunk runs inline, in chunk order. Returns when
+    * every chunk has finished.
+    */
+  def parallelForChunks(chunks: Int, t: Int)(body: Int => Unit): Unit = {
+    if (t <= 1 || chunks <= 1) {
+      var c = 0; while (c < chunks) { body(c); c += 1 }
+    } else {
+      val next = new AtomicInteger(0)
+      val tasks = (0 until math.min(t, chunks)).map { _ =>
+        pool(t).submit(new Runnable {
+          def run(): Unit = {
+            var c = next.getAndIncrement()
+            while (c < chunks) { body(c); c = next.getAndIncrement() }
+          }
+        })
+      }
+      tasks.foreach(_.join())
     }
-    tasks.foreach(_.join())
   }
 }

@@ -112,6 +112,41 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("out-of-range self-loops are rejected, not dropped") {
+    for ((n, a) <- Seq((2, 5), (2, -1))) {
+      val e = intercept[IllegalArgumentException] {
+        LocalGraph.fromEdges(n, Seq((0, 1, 1.0), (a, a, 1.0)))
+      }
+      assert(e.getMessage.contains(s"($a,$a) out of range"), e.getMessage)
+    }
+  }
+
+  test("the first bad triple in input order is named, at every thread count") {
+    val rnd = new scala.util.Random(7)
+    val good = Vector.fill(12000)((rnd.nextInt(40), rnd.nextInt(40), rnd.nextDouble()))
+    val nonFinite = (3, 4, Double.NaN); val outOfRange = (5, 40, 1.0)
+    for ((first, second, named) <- Seq((nonFinite, outOfRange, "(3,4) has non-finite weight"),
+                                       (outOfRange, nonFinite, "(5,40) out of range"))) {
+      // The two bad triples land in different chunks at 8 threads.
+      val edges = good.updated(2500, first).updated(9000, second)
+      for (t <- Seq(1, 8)) {
+        val e = intercept[IllegalArgumentException](LocalGraph.fromEdges(40, edges, threads = t))
+        assert(e.getMessage.contains(named), s"t=$t: ${e.getMessage}")
+      }
+    }
+  }
+
+  test("the first non-finite vertex weight is named") {
+    val vw = Array.fill(10)(1.0)
+    vw(7) = Double.NaN; vw(3) = Double.PositiveInfinity; vw(9) = Double.NaN
+    for (t <- Seq(1, 8)) {
+      val e = intercept[IllegalArgumentException] {
+        LocalGraph.fromEdges(10, Seq((0, 1, 1.0)), vw, threads = t)
+      }
+      assert(e.getMessage.contains("vertex 3 "), s"t=$t: ${e.getMessage}")
+    }
+  }
+
   test("isolated vertices are representable") {
     val h = LocalGraph.fromEdges(5, Seq((0, 1, 1.0)))
     assert(h.n == 5 && h.degree(4) == 0)
@@ -182,15 +217,50 @@ class LocalGraphSpec extends AnyFunSuite {
       (n, edges, vw)
     }
 
+  private def assertSameGraph(got: LocalGraph, want: LocalGraph, clue: String): Unit = {
+    assert(got.n == want.n, clue)
+    assert(java.util.Arrays.equals(got.offsets, want.offsets), s"offsets, $clue")
+    assert(java.util.Arrays.equals(got.nbrs, want.nbrs), s"nbrs, $clue")
+    assert(java.util.Arrays.equals(got.ew, want.ew), s"ew, $clue")
+    assert(java.util.Arrays.equals(got.vw, want.vw), s"vw, $clue")
+  }
+
+  private val threadCounts = Seq(1, 2, 3, 8)
+
   test("property: the build matches the map-and-sort reference bit for bit") {
     forAll(genRaw, n = 200) { case (n, edges, vw) =>
-      val got = LocalGraph.fromEdges(n, edges, vw)
       val want = referenceBuild(n, edges, vw)
-      assert(got.n == want.n)
-      assert(java.util.Arrays.equals(got.offsets, want.offsets), "offsets")
-      assert(java.util.Arrays.equals(got.nbrs, want.nbrs), "nbrs")
-      assert(java.util.Arrays.equals(got.ew, want.ew), "ew")
-      assert(java.util.Arrays.equals(got.vw, want.vw), "vw")
+      for (t <- threadCounts) assertSameGraph(LocalGraph.fromEdges(n, edges, vw, t), want, s"t=$t")
     }
+  }
+
+  /** Up to ~20K triples over at most 50 vertices: enough to split every
+    * build pass into several chunks, with runs of duplicates crossing the
+    * chunk boundaries.
+    */
+  private val genLong: Gen[(Int, Vector[(Int, Int, Double)])] =
+    for {
+      n <- Gen.choose(2, 50)
+      m <- Gen.choose(2000, 20000)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield {
+      val rnd = new scala.util.Random(seed)
+      (n, Vector.fill(m) {
+        (rnd.nextInt(n), rnd.nextInt(n), rnd.nextDouble() * math.pow(10, rnd.nextInt(7) - 3))
+      })
+    }
+
+  test("property: multi-chunk builds match the reference bit for bit at every thread count") {
+    forAll(genLong, n = 20) { case (n, edges) =>
+      val want = referenceBuild(n, edges, null)
+      for (t <- threadCounts) assertSameGraph(LocalGraph.fromEdges(n, edges, threads = t), want, s"t=$t")
+    }
+  }
+
+  test("a power-law graph builds bit for bit like the reference at 1 and 8 threads") {
+    val edges = repro.data.GraphGen.powerLaw(3000, 20000, 0.5, seed = 21) ++
+      repro.data.GraphGen.plantBlock(repro.data.GraphGen.sample(3000, 25, 22), 0.8, 3.0, 23)
+    val want = referenceBuild(3000, edges, null)
+    for (t <- Seq(1, 8)) assertSameGraph(LocalGraph.fromEdges(3000, edges, threads = t), want, s"t=$t")
   }
 }

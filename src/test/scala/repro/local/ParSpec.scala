@@ -1,7 +1,7 @@
 package repro.local
 
 import org.scalatest.funsuite.AnyFunSuite
-import java.util.concurrent.atomic.AtomicLong
+import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicLong}
 
 /** The shared-memory parallel-for/parallel-sum substrate. */
 class ParSpec extends AnyFunSuite {
@@ -17,6 +17,14 @@ class ParSpec extends AnyFunSuite {
     val seen = new AtomicLong()
     Par.parallelFor(n, 4)(_ => seen.incrementAndGet())
     assert(seen.get() == n)
+  }
+
+  test("parallelForChunks runs every chunk exactly once") {
+    for (t <- Seq(1, 8)) {
+      val runs = new AtomicIntegerArray(37)
+      Par.parallelForChunks(37, t)(c => runs.incrementAndGet(c))
+      assert((0 until 37).forall(runs.get(_) == 1), s"t=$t")
+    }
   }
 
   test("parallelSum equals sequential sum") {
