@@ -17,7 +17,8 @@ import org.apache.spark.sql.functions._
   * }}}
   *
   * - `VSusp` / `ESusp` define the metric (Property 3.1: both must be
-  *   non-negative; `g = f/|S|` monotone follows).
+  *   finite and non-negative, so `g = f/|S|` is monotone; `ParDetect`
+  *   rejects a value that is not).
   * - `isBenign` marks vertices that are peeled in the first iteration.
   * - `setEpsilon` trades precision for throughput (τ = k(1+ε)g).
   * - `setK(k≥3)` switches to clique-count peeling (TDS at k=3, kCLiDS
@@ -45,28 +46,45 @@ final class Dupin(spark: SparkSession) {
   }
 
   /** Load a graph: `vertices` needs an `id` column (other columns feed
-    * VSusp/isBenign); `edges` needs `src`, `dst` (others feed ESusp), and
-    * every endpoint must be an `id` of `vertices` (benign ones included) —
-    * `ParDetect` rejects a dangling edge.
+    * VSusp/isBenign) and each `id` once; `edges` needs `src`, `dst` (others
+    * feed ESusp), and every endpoint must be an `id` of `vertices` (benign
+    * ones included) — `ParDetect` rejects a duplicated id and a dangling
+    * edge.
     */
   def LoadGraph(vertices: DataFrame, edges: DataFrame): this.type = {
     loaded = Some((vertices, edges)); this
   }
 
-  /** Run parallel detection; returns the vertex ids of S^p. */
+  /** Run parallel detection; returns the vertex ids of S^p.
+    *
+    * The vertex rows are collected to the driver (one job), which rejects
+    * a duplicated id and (Property 3.1) a negative or non-finite `VSusp` of
+    * a non-benign vertex. One more job checks the edges against the
+    * collected ids, as a broadcast set, before [[SparkPeeling]] peels.
+    * A negative or non-finite `ESusp` (after duplicate edges are summed) is
+    * rejected by the peeling engine's first pass.
+    */
   def ParDetect(): Array[Long] = {
     val (vRaw, eRaw) = loaded.getOrElse(throw new IllegalStateException("LoadGraph first"))
+    val sc = spark.sparkContext
+    val rows = vRaw.select(col("id").cast("long"), vsusp.cast("double"),
+        benign.getOrElse(lit(false)))
+      .collect().map { r =>
+        (r.getLong(0), if (r.isNullAt(1)) Double.NaN else r.getDouble(1), !r.isNullAt(2) && r.getBoolean(2))
+      }
+    val all = rows.map(_._1).sorted
+    SparkPeeling.requireUnique(all)
+    val v = SparkPeeling.Vertices(rows.collect { case (id, vw, false) => (id, vw) })
+    val ids = sc.broadcast(all)
     // An endpoint outside `vertices` would count in f but never in |S|.
-    val dangling = eRaw.select(col("src").cast("long").as("id"))
-      .union(eRaw.select(col("dst").cast("long").as("id")))
-      .join(vRaw.select(col("id").cast("long")), Seq("id"), "left_anti")
-      .agg(min("id")).head.get(0)
-    if (dangling != null)
+    val dangling = try eRaw.select(col("src").cast("long"), col("dst").cast("long")).rdd
+      .map { r =>
+        def missing(id: Long) = if (java.util.Arrays.binarySearch(ids.value, id) < 0) id else Long.MaxValue
+        math.min(missing(r.getLong(0)), missing(r.getLong(1)))
+      }.fold(Long.MaxValue)(math.min)
+      finally ids.destroy()
+    if (dangling != Long.MaxValue)
       throw new IllegalArgumentException(s"edge endpoint $dangling is not a row of vertices")
-    val vAll = vRaw.withColumn("vw", vsusp.cast("double"))
-      .withColumn("benign", benign.getOrElse(lit(false)))
-    val benignIds = vAll.filter(col("benign")).select(col("id").cast("long"))
-    val v = vAll.filter(!col("benign")).select(col("id").cast("long"), col("vw"))
     val e0 = eRaw.withColumn("w", esusp.cast("double"))
       .select(col("src").cast("long"), col("dst").cast("long"), col("w"))
       .where(col("src") =!= col("dst"))
@@ -75,13 +93,17 @@ final class Dupin(spark: SparkSession) {
       .groupBy("src", "dst").agg(sum("w").as("w"))
     // Benign vertices are peeled "within the current iteration" — i.e.
     // removed before round 1 together with their incident edges.
-    val bid = benignIds.withColumnRenamed("id", "bid")
-    val e = e0.join(bid, e0("src") === bid("bid"), "left_anti")
-      .join(benignIds.withColumnRenamed("id", "bid2"), col("dst") === col("bid2"), "left_anti")
+    val kept = if (v.ids.length < all.length) Some(sc.broadcast(v.ids)) else None
+    val e = kept.fold(e0) { k =>
+      val isKept = udf((id: Long) => java.util.Arrays.binarySearch(k.value, id) >= 0)
+      e0.where(isKept(col("src")) && isKept(col("dst")))
+    }
     val cfg = SparkPeeling.Config(eps = eps, gpo = gpo, lpo = lpo)
     val res =
-      if (cliqueK >= 3) SparkPeeling.runClique(spark, v, e, cliqueK, cfg)
-      else SparkPeeling.runEdge(spark, v, e, 2, cfg)
+      try {
+        if (cliqueK >= 3) SparkPeeling.runClique(spark, v, e, cliqueK, cfg)
+        else SparkPeeling.runEdge(spark, v, e, cfg)
+      } finally kept.foreach(_.destroy())
     last = Some(res)
     res.bestSet
   }

@@ -92,17 +92,32 @@ final case class KCliDS(cliqueK: Int) extends Metric {
   def prepare(g: LocalGraph): LocalGraph = g
 }
 
-/** Mutable peeling state: tracks the active set S, f(S), and the peeling
-  * weights `w_u(S)` (the decrease in f from removing u), with incremental
-  * updates on removal. Reads (`w`, `f`) may be done from parallel scans;
-  * `remove` must be called from a single thread.
+/** What Dupin's round loop ([[repro.local.DupinLocal.runOn]]) needs of a
+  * peeling state: the active set S over vertices `0 until n`, f(S), the
+  * peeling weights `w_u(S)` (the decrease in f from removing u), and one
+  * batched removal per peel. Reads (`w`, `f`) may be done from parallel
+  * scans; `removeBatch` is called from a single thread. Implemented by the
+  * local [[MetricState]]s and by the Spark engine's driver-side state
+  * ([[SparkPeeling]]).
   */
-trait MetricState {
+trait PeelState {
   def n: Int
   def activeCount: Int
   def isActive(u: Int): Boolean
   def f: Double
   def w(u: Int): Double
+  /** Remove the active vertices `us` (distinct) and update f and w. */
+  def removeBatch(us: Array[Int], threads: Int): Unit
+  final def density: Double = if (activeCount == 0) 0.0 else f / activeCount
+  /** Ids of the currently active vertices (sorted). */
+  final def activeSet: Array[Int] = (0 until n).filter(isActive).toArray
+}
+
+/** Local mutable peeling state with incremental updates on removal, one
+  * vertex at a time (`remove`, which the sequential and bucket peelers use)
+  * or a batch at a time. `remove` must be called from a single thread.
+  */
+trait MetricState extends PeelState {
   def remove(u: Int): Unit
   /** The active vertices whose peeling weight can change when `u` is
     * removed (for both edge and clique metrics: u's active neighbors —
@@ -116,9 +131,6 @@ trait MetricState {
     * engine gets from OpenMP's `updateNgh`.
     */
   def removeBatch(us: Array[Int], threads: Int): Unit = us.foreach(remove)
-  final def density: Double = if (activeCount == 0) 0.0 else f / activeCount
-  /** Ids of the currently active vertices (sorted). */
-  final def activeSet: Array[Int] = (0 until n).filter(isActive).toArray
 }
 
 /** Edge-sum peeling state for DG/DW/FD: w_u = a_u + Σ_{v∈S∩N(u)} c_uv. */

@@ -1,36 +1,38 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.local.DupinLocal
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
-/** Dupin's parallel peeling engine as iterative DataFrame jobs.
+/** Dupin's parallel peeling engine on Spark.
   *
-  * One outer iteration = Algorithm 2's round, expressed in dataflow:
-  *   1. peeling weights `w_u(S_{i-1})` over the active vertices — edge
-  *      metrics sum incident weights over the cached active-edge frame;
-  *      clique metrics count rows of the active k-clique table, which is
-  *      listed once by [[SparkCliques]] at the start of the run;
-  *   2. `f`, `g`, and the threshold `τ` — global aggregates + driver math;
-  *   3. the peel — filter `w ≤ τ`, anti-join the peeled ids (a broadcast
-  *      side) out of the active vertex frame and the metric's edge or
-  *      clique frame, `localCheckpoint` to cut lineage.
-  * GPO (Alg. 3) threads `τ_max` through the driver loop; LPO (Alg. 4) runs
-  * the trim loop (`w < max(τ_max, g)`) between rounds. The trim pass that
-  * removes nothing has observed the next round's S, so that round reuses it.
+  * The per-vertex state lives on the driver: the sorted vertex ids, the
+  * peeling weights `w_u`, the active flags, `f` and `|S|` — O(|V|), which
+  * the driver holds anyway for the removal order and the best set. Only the
+  * O(|E|) edge table (edge metrics) or the O(#cliques) clique table (clique
+  * metrics, listed once by [[SparkCliques]]) stays on the cluster,
+  * `localCheckpoint`ed. One pass over it gives the initial weights; each
+  * peel is one more pass (one Spark job, no shuffle) that takes the peeled
+  * vertices as a broadcast set, drops the rows they hit, and returns per
+  * partition the weight those rows took from each surviving member. The
+  * driver merges these in partition order.
   *
-  * The removal order is logged on the driver (peeled sets are collected
-  * anyway to build the anti-join side), so the best snapshot S^p is
-  * reconstructed exactly as in the local engine, which this implementation
-  * is cross-checked against in tests.
+  * With the weights on the driver, every selection (τ, τ_max, the long-tail
+  * count, the arg-min guard, the LPO trims, the best snapshot) is the local
+  * engine's own loop, [[repro.local.DupinLocal.runOn]], so both engines
+  * share one peeling policy and are cross-checked against each other in
+  * tests.
   */
 object SparkPeeling {
 
-  final case class Config(
-      eps: Double = 0.1,
-      gpo: Boolean = false,
-      lpo: Boolean = false,
-      maxRounds: Int = 100000)
+  /** The shared loop's settings (ε, GPO, LPO, `maxRounds`, ...). */
+  type Config = DupinLocal.Config
+  val Config: DupinLocal.Config.type = DupinLocal.Config
 
   /** @param truncated the run stopped at `maxRounds` with vertices still
     *                  active, so `bestSet` is the best of a partial peel
@@ -44,18 +46,52 @@ object SparkPeeling {
       history: Vector[Double],
       truncated: Boolean)
 
+  /** Vertex rows collected to the driver: `ids` ascending, so state index
+    * `u` is vertex `ids(u)`, and `vw(u)` its vertex weight.
+    */
+  final class Vertices private (val ids: Array[Long], val vw: Array[Double])
+
+  object Vertices {
+    /** Rejects a duplicated id, naming the smallest, and (Property 3.1) a
+      * negative or non-finite vertex weight, naming its vertex.
+      */
+    def apply(rows: Array[(Long, Double)]): Vertices = {
+      val sorted = rows.sortBy(_._1)
+      val ids = sorted.map(_._1)
+      requireUnique(ids)
+      sorted.foreach { case (id, vw) =>
+        require(vw >= 0 && vw < Double.PositiveInfinity,
+          s"vertex $id has suspiciousness $vw; Property 3.1 needs it finite and non-negative")
+      }
+      new Vertices(ids, sorted.map(_._2))
+    }
+
+    /** `df`'s `id` and `vw` columns, collected by one job. */
+    def collect(df: DataFrame): Vertices =
+      apply(df.select(col("id").cast("long"), col("vw").cast("double")).collect()
+        .map(r => (r.getLong(0), if (r.isNullAt(1)) Double.NaN else r.getDouble(1))))
+  }
+
+  /** Throws if the ascending `ids` hold an id twice, naming the smallest. */
+  def requireUnique(ids: Array[Long]): Unit = {
+    var i = 1
+    while (i < ids.length) {
+      require(ids(i) != ids(i - 1), s"vertex id ${ids(i)} appears more than once in vertices")
+      i += 1
+    }
+  }
+
   /** Run a built-in metric on a property graph. */
   def run(spark: SparkSession, g: SparkGraph, metric: Metric,
-          cfg: Config = Config()): Result = metric match {
-    case DG =>
-      runEdge(spark, g.vertices.withColumn("vw", lit(0.0)),
-        g.edges.withColumn("w", lit(1.0)), 2, cfg)
-    case DW =>
-      runEdge(spark, g.vertices.withColumn("vw", lit(0.0)), g.edges, 2, cfg)
-    case FD =>
-      runEdge(spark, g.vertices, fraudarEdges(g.edges), 2, cfg)
-    case TDS          => runClique(spark, g.vertices, g.edges, 3, cfg)
-    case KCliDS(kk)   => runClique(spark, g.vertices, g.edges, kk, cfg)
+          cfg: Config = Config()): Result = {
+    def vertices(vw: Column) = Vertices.collect(g.vertices.withColumn("vw", vw))
+    metric match {
+      case DG => runEdge(spark, vertices(lit(0.0)), g.edges.withColumn("w", lit(1.0)), cfg)
+      case DW => runEdge(spark, vertices(lit(0.0)), g.edges, cfg)
+      case FD => runEdge(spark, vertices(col("vw")), fraudarEdges(g.edges), cfg)
+      case TDS => runClique(spark, vertices(lit(0.0)), g.edges, 3, cfg)
+      case KCliDS(kk) => runClique(spark, vertices(lit(0.0)), g.edges, kk, cfg)
+    }
   }
 
   /** Fraudar edge weights: `1/log(max(deg_src, deg_dst) + c)` with degrees
@@ -71,143 +107,212 @@ object SparkPeeling {
         (lit(1.0) / log(greatest(col("ds"), col("dd")) + lit(Metric.FraudarC))).as("w"))
   }
 
-  /** What a metric keeps between rounds besides the active vertex frame. */
-  private trait Body {
-    /** `(id, w)` for every row of the active vertex frame `v`. */
-    def weights(v: DataFrame): DataFrame
-    /** `f(S)` for the active vertex frame `v`. */
-    def f(v: DataFrame): Double
-    /** Drop every row incident to a peeled id (`peeled` has one column). */
-    def remove(peeled: DataFrame): Unit
-  }
-
-  /** `df` checkpointed and counted by one job (an eager checkpoint and
-    * `Dataset.count` would take three).
-    */
-  private def checkpointCount(df: DataFrame): (DataFrame, Long) = {
-    val cut = df.localCheckpoint(eager = false)
-    (cut, cut.rdd.count())
-  }
-
-  /** `df` without the rows whose `column` is a peeled id. The peeled ids
-    * are a broadcast side: the sessions turn auto-broadcast off.
-    */
-  private def without(df: DataFrame, column: String, peeled: DataFrame): DataFrame =
-    df.join(broadcast(peeled.toDF(column)), Seq(column), "left_anti")
-
   /** Edge-sum peeling (DG/DW/FD and the user-defined facade metrics):
-    * `w_u = vw_u + Σ_{(u,v)∈E[S]} w_uv`, `f = Σ vw + Σ w`.
+    * `w_u = vw_u + Σ_{(u,v)∈E[S]} w_uv`, `f = Σ vw + Σ w`. Every endpoint
+    * of `e0` (`src`, `dst`, `w`; canonical `src < dst`, one row per pair)
+    * must be a vertex of `v`, and (Property 3.1) every `w` finite and
+    * non-negative; both are checked in the initial pass.
     */
-  def runEdge(spark: SparkSession, v0: DataFrame, e0: DataFrame, k: Int,
-              cfg: Config): Result =
-    loop(spark, v0, k, cfg, new Body {
-      private var e = e0.select(col("src").cast("long"), col("dst").cast("long"),
-        col("w").cast("double")).localCheckpoint(true)
-
-      def weights(v: DataFrame): DataFrame = {
-        val ew = e.select(col("src").as("id"), col("w"))
-          .union(e.select(col("dst").as("id"), col("w")))
-          .groupBy("id").agg(sum("w").as("ws"))
-        v.join(ew, Seq("id"), "left")
-          .select(col("id"), (col("vw") + coalesce(col("ws"), lit(0.0))).as("w"))
-      }
-
-      def f(v: DataFrame): Double = {
-        val fv = v.agg(coalesce(sum("vw"), lit(0.0))).head.getDouble(0)
-        val fe = e.agg(coalesce(sum("w"), lit(0.0))).head.getDouble(0)
-        fv + fe
-      }
-
-      def remove(peeled: DataFrame): Unit =
-        e = without(without(e, "src", peeled), "dst", peeled).localCheckpoint(true)
-    })
+  def runEdge(spark: SparkSession, v: Vertices, e0: DataFrame, cfg: Config): Result =
+    peel(v, 2, cfg, new ClusterState(spark.sparkContext, v.ids, v.vw, 2, weighted = true,
+      e0.select(col("src").cast("long"), col("dst").cast("long"), col("w").cast("double")).rdd))
 
   /** Clique-count peeling (TDS k=3, kCLiDS k=4): `w_u` = active k-cliques
-    * through u, `f` = number of active k-cliques. The cliques of `e0`
-    * (canonical `src < dst`, endpoints all rows of `v0`) are listed once;
-    * each peel drops the cliques that contain a peeled id, so no round
-    * re-runs the self-join.
+    * through u, `f` = number of active k-cliques; `v`'s vertex weights are
+    * not used. The cliques of `e0` (canonical `src < dst`, endpoints all
+    * vertices of `v`) are listed once; each peel drops the cliques that
+    * hold a peeled vertex.
     */
-  def runClique(spark: SparkSession, v0: DataFrame, e0: DataFrame, k: Int,
-                cfg: Config): Result = {
-    val cols = SparkCliques.columns(k)
-    loop(spark, v0, k, cfg, new Body {
-      private var (cliques, count) = checkpointCount(SparkCliques.cliques(
-        e0.select(col("src").cast("long"), col("dst").cast("long")), k))
+  def runClique(spark: SparkSession, v: Vertices, e0: DataFrame, k: Int, cfg: Config): Result =
+    peel(v, k, cfg, new ClusterState(spark.sparkContext, v.ids, new Array[Double](v.ids.length), k,
+      weighted = false,
+      SparkCliques.cliques(e0.select(col("src").cast("long"), col("dst").cast("long")), k).rdd))
 
-      // One row per (clique, member) and a zero row per active vertex, so
-      // vertices in no clique get w = 0 without a join.
-      def weights(v: DataFrame): DataFrame =
-        cols.map(c => cliques.select(col(c).as("id"), lit(1L).as("one")))
-          .foldLeft(v.select(col("id"), lit(0L).as("one")))(_ union _)
-          .groupBy("id").agg(sum("one").cast("double").as("w"))
-
-      def f(v: DataFrame): Double = count.toDouble
-
-      def remove(peeled: DataFrame): Unit = {
-        val (rest, n) = checkpointCount(cols.foldLeft(cliques)(without(_, _, peeled)))
-        cliques = rest
-        count = n
-      }
-    })
+  private def peel(v: Vertices, k: Int, cfg: Config, state: ClusterState): Result = {
+    val r = try DupinLocal.runOn(state, k, cfg) finally state.release()
+    Result(r.bestSet.map(v.ids(_)), r.bestDensity, r.rounds, r.longTailPeels, r.sparseTrims,
+      r.history, r.truncated)
   }
 
-  private def loop(spark: SparkSession, v0: DataFrame, k: Int, cfg: Config,
-                   body: Body): Result = {
-    import spark.implicits._
-    var (v, cnt) = checkpointCount(v0.select(col("id").cast("long"), col("vw").cast("double")))
-    val order = new mutable.ArrayBuffer[Long]()
-    val hist = Vector.newBuilder[Double]
-    var bestDensity = Double.NegativeInfinity
-    var bestCount = 0
-    var tauMax = 0.0
-    var rounds = 0
-    var longTail = 0L
-    var sparse = 0L
+  /** One partition of the cluster-side table: row `r` holds the state
+    * indices `mem(r * arity until (r + 1) * arity)` (an edge's endpoints or
+    * a clique's members) and weighs `wt(r)`, or 1 when `wt` is null.
+    */
+  private final class Rows(val arity: Int, val mem: Array[Int], val wt: Array[Double])
+      extends Serializable {
+    def count: Int = mem.length / arity
+    def weight(r: Int): Double = if (wt == null) 1.0 else wt(r)
+  }
 
-    def observe(): (DataFrame, Double) = {
-      val wDf = body.weights(v).localCheckpoint(true)
-      val g = body.f(v) / cnt
-      hist += g
-      if (g > bestDensity) { bestDensity = g; bestCount = order.size }
-      (wDf, g)
+  /** What one partition's pass reports: the rows it counted took `sum(i)`
+    * from vertex `idx(i)` (ascending) and `total` in all; `kept` rows stay
+    * in the table; `error` describes the partition's first bad input row.
+    */
+  private final class Delta(val idx: Array[Int], val sum: Array[Double], val total: Double,
+                            val kept: Int, val error: String) extends Serializable
+
+  /** A task's per-vertex accumulator for one pass over `n` vertices. */
+  private final class Sums(n: Int) {
+    private val acc = new Array[Double](n)
+    private val seen = new Array[Boolean](n)
+    private val idx = new mutable.ArrayBuilder.ofInt
+    var total = 0.0
+
+    def add(u: Int, a: Double): Unit = {
+      if (!seen(u)) { seen(u) = true; idx += u }
+      acc(u) += a
     }
 
-    def applyRemovals(ids: Array[Long]): Unit = {
-      order ++= ids
-      val peeled = ids.toSeq.toDF("id")
-      v = without(v, "id", peeled).localCheckpoint(true)
-      body.remove(peeled)
-      cnt -= ids.length
-      if (cnt == 0) hist += 0.0 // the empty snapshot, as the local engine logs it
+    def result(kept: Int, error: String = null): Delta = {
+      val ix = idx.result()
+      java.util.Arrays.sort(ix)
+      new Delta(ix, ix.map(acc), total, kept, error)
     }
+  }
 
-    // An LPO pass that trims nothing has observed the S the next round starts on.
-    var carried: Option[(DataFrame, Double)] = None
-    while (cnt > 0 && rounds < cfg.maxRounds) {
-      rounds += 1
-      val (wDf, g) = carried.getOrElse(observe())
-      carried = None
-      if (cfg.gpo || cfg.lpo) tauMax = math.max(tauMax, g / (k * (1 + cfg.eps)))
-      val base = k * (1 + cfg.eps) * g
-      val tau = if (cfg.gpo || cfg.lpo) math.max(tauMax, base) else base
-      var peeled = wDf.filter(col("w") <= tau).select("id", "w").collect()
-      if (peeled.isEmpty) // FP-round-off guard: peel the arg-min
-        peeled = wDf.orderBy(col("w")).limit(1).select("id", "w").collect()
-      longTail += peeled.count(_.getDouble(1) > base)
-      applyRemovals(peeled.map(_.getLong(0)))
-
-      while (cfg.lpo && carried.isEmpty && cnt > 0) {
-        val obs @ (wDf2, g2) = observe()
-        tauMax = math.max(tauMax, g2 / (k * (1 + cfg.eps)))
-        val tau2 = math.max(tauMax, g2)
-        val trims = wDf2.filter(col("w") < tau2).select("id").collect().map(_.getLong(0))
-        if (trims.isEmpty) carried = Some(obs)
-        else { applyRemovals(trims); sparse += trims.length }
+  /** The initial pass over one partition of input rows (`arity` id columns,
+    * then the weight if `weighted`): maps ids to state indices and counts
+    * every row.
+    */
+  private def load(ids: Array[Long], arity: Int, weighted: Boolean)(it: Iterator[Row]): (Rows, Delta) = {
+    val sums = new Sums(ids.length)
+    val mem = new mutable.ArrayBuilder.ofInt
+    val wt = new mutable.ArrayBuilder.ofDouble
+    val row = new Array[Int](arity)
+    var error: String = null
+    var count = 0
+    while (error == null && it.hasNext) {
+      val r = it.next()
+      var j = 0
+      while (error == null && j < arity) {
+        row(j) = java.util.Arrays.binarySearch(ids, r.getLong(j))
+        if (row(j) < 0) error = s"edge endpoint ${r.getLong(j)} is not a row of vertices"
+        j += 1
+      }
+      val w = if (!weighted) 1.0 else if (r.isNullAt(arity)) Double.NaN else r.getDouble(arity)
+      if (error == null && !(w >= 0 && w < Double.PositiveInfinity))
+        error = s"edge (${r.getLong(0)}, ${r.getLong(1)}) has suspiciousness $w; " +
+          "Property 3.1 needs it finite and non-negative"
+      if (error == null) {
+        row.foreach { u => mem += u; sums.add(u, w) }
+        if (weighted) wt += w
+        sums.total += w
+        count += 1
       }
     }
-    val remaining = if (cnt > 0) v.select("id").collect().map(_.getLong(0)) else Array.empty[Long]
-    val best = (order.view.drop(bestCount) ++ remaining).toArray.sorted
-    Result(best, bestDensity, rounds, longTail, sparse, hist.result(), truncated = cnt > 0)
+    (new Rows(arity, mem.result(), if (weighted) wt.result() else null), sums.result(count, error))
+  }
+
+  /** A removal pass over one partition: drops every row that holds a
+    * peeled vertex and sums its weight onto its surviving members.
+    */
+  private def drop(n: Int, peeled: java.util.BitSet)(rows: Rows): (Rows, Delta) = {
+    val sums = new Sums(n)
+    val a = rows.arity
+    val mem = new mutable.ArrayBuilder.ofInt
+    val wt = new mutable.ArrayBuilder.ofDouble
+    var kept = 0
+    var r = 0
+    while (r < rows.count) {
+      var hit = false
+      var j = r * a
+      while (!hit && j < (r + 1) * a) { hit = peeled.get(rows.mem(j)); j += 1 }
+      if (hit) {
+        val w = rows.weight(r)
+        sums.total += w
+        j = r * a
+        while (j < (r + 1) * a) { if (!peeled.get(rows.mem(j))) sums.add(rows.mem(j), w); j += 1 }
+      } else {
+        j = r * a
+        while (j < (r + 1) * a) { mem += rows.mem(j); j += 1 }
+        if (rows.wt != null) wt += rows.wt(r)
+        kept += 1
+      }
+      r += 1
+    }
+    val rest =
+      if (kept == rows.count) rows
+      else new Rows(a, mem.result(), if (rows.wt != null) wt.result() else null)
+    (rest, sums.result(kept))
+  }
+
+  /** Dupin's peeling state with the vertices on the driver and the rows
+    * (edges or cliques) of `input` on the cluster.
+    */
+  private final class ClusterState(sc: SparkContext, ids: Array[Long], vw: Array[Double],
+                                   arity: Int, weighted: Boolean, input: => RDD[Row])
+      extends PeelState {
+    val n: Int = ids.length
+    private val act = Array.fill(n)(true)
+    private var cnt = n
+    private val wArr = vw.clone()
+    private var fVal = vw.sum
+    /** The checkpointed table, the deltas of the pass that produced it, and
+      * that pass's broadcast (its closure holds it until the table is
+      * dropped).
+      */
+    private var table: RDD[(Rows, Delta)] = _
+    private var tableArg: Broadcast[_] = _
+    private var rowsLeft = 0L
+
+    // With no vertex there is nothing to peel (and no row can be valid).
+    if (n > 0) {
+      val (a, wtd) = (arity, weighted)
+      val deltas = pass(input, ids)((is, it) => load(is, a, wtd)(it))
+      deltas.find(_.error != null).foreach { d => release(); throw new IllegalArgumentException(d.error) }
+      merge(deltas, 1.0)
+    }
+
+    def activeCount: Int = cnt
+    def isActive(u: Int): Boolean = act(u)
+    def f: Double = fVal
+    def w(u: Int): Double = wArr(u)
+
+    def removeBatch(us: Array[Int], threads: Int): Unit = {
+      us.foreach { u =>
+        require(act(u), s"removeBatch($u): not active")
+        act(u) = false; wArr(u) = 0.0; fVal -= vw(u)
+      }
+      cnt -= us.length
+      if (cnt == 0) { fVal = 0.0; release() }
+      else if (rowsLeft > 0) {
+        val peeled = new java.util.BitSet(n)
+        us.foreach(peeled.set)
+        val nn = n
+        merge(pass(table, peeled)((p, it) => drop(nn, p)(it.next()._1)), -1.0)
+      }
+    }
+
+    /** Add (`sign` 1) or subtract (-1) the deltas, in partition order. */
+    private def merge(deltas: Array[Delta], sign: Double): Unit = deltas.foreach { d =>
+      var i = 0
+      while (i < d.idx.length) { wArr(d.idx(i)) += sign * d.sum(i); i += 1 }
+      fVal += sign * d.total
+    }
+
+    /** One job: `step` runs on every partition of `src` with `arg` as a
+      * broadcast; the rows it keeps are checkpointed as the new table and
+      * its deltas come back in partition order.
+      */
+    private def pass[A: ClassTag, T](src: RDD[T], arg: A)(
+        step: (A, Iterator[T]) => (Rows, Delta)): Array[Delta] = {
+      val bc = sc.broadcast(arg)
+      val next = src.mapPartitions(it => Iterator.single(step(bc.value, it)))
+      next.localCheckpoint()
+      val deltas = next.map(_._2).collect()
+      release()
+      table = next
+      tableArg = bc
+      rowsLeft = deltas.map(_.kept.toLong).sum
+      deltas
+    }
+
+    /** Drop the cluster-side table. */
+    def release(): Unit = if (table != null) {
+      table.unpersist(blocking = false)
+      tableArg.destroy()
+      table = null
+      rowsLeft = 0
+    }
   }
 }

@@ -1,12 +1,13 @@
 package repro.local
 
-import repro.core.{Metric, MetricState}
+import repro.core.{Metric, PeelState}
 import scala.collection.mutable
 
-/** Local-parallel Dupin engine: Algorithms 2 (plain), 3 (GPO) and 4 (LPO)
-  * over the shared-memory substrate. The Spark engine
-  * ([[repro.core.SparkPeeling]]) implements the same logic on DataFrames
-  * and is cross-checked against this one in tests.
+/** Dupin's peeling policy, Algorithms 2 (plain), 3 (GPO) and 4 (LPO), over
+  * any [[repro.core.PeelState]]: the local CSR states of [[repro.core.Metric]]
+  * and the Spark engine's driver-side state ([[repro.core.SparkPeeling]]),
+  * whose `removeBatch` is one distributed pass. Both engines therefore make
+  * the same selections and record the same snapshots.
   *
   * Per round: (a) snapshot the peeling weights `w_u(S_{i-1})` with a
   * parallel scan, (b) compute `τ` from the density (and, under GPO, the
@@ -17,17 +18,21 @@ import scala.collection.mutable
   */
 object DupinLocal {
 
+  /** @param maxRounds stop after this many outer rounds; a run cut short
+    *                  this way reports `truncated`
+    */
   final case class Config(
       eps: Double = 0.1,
       gpo: Boolean = false,
       lpo: Boolean = false,
       threads: Int = Par.defaultThreads,
-      deadline: Long = Long.MaxValue)
+      deadline: Long = Long.MaxValue,
+      maxRounds: Int = 100000)
 
   def run(metric: Metric, g: LocalGraph, cfg: Config = Config()): PeelResult =
     runOn(metric.localState(g, cfg.threads), metric.k, cfg)
 
-  def runOn(state: MetricState, k: Int, cfg: Config): PeelResult = {
+  def runOn(state: PeelState, k: Int, cfg: Config): PeelResult = {
     val n = state.n
     val tracker = new PeelTracker
     tracker.snapshot(state.density)
@@ -38,7 +43,7 @@ object DupinLocal {
     val mark = new Array[Boolean](n) // per-round selection scratch
     val wSnap = new Array[Double](n) // w_u(S_{i-1}) snapshot for this round
 
-    while (state.activeCount > 0) {
+    while (state.activeCount > 0 && rounds < cfg.maxRounds) {
       Deadline.check(cfg.deadline, "DupinLocal")
       rounds += 1
       val gCur = state.density
@@ -103,6 +108,6 @@ object DupinLocal {
         }
       }
     }
-    tracker.result(rounds, longTail, sparse)
+    tracker.result(rounds, longTail, sparse, stillActive = state.activeSet)
   }
 }

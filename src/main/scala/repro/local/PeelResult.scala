@@ -10,6 +10,8 @@ package repro.local
   * @param sparseTrims  vertices trimmed by the LPO inner loop
   * @param history      densities of the observed snapshots S_0, S_1, ...
   * @param order        full removal order (Spade stitches suffixes of it)
+  * @param truncated    the run stopped at `maxRounds` with vertices still
+  *                     active, so `bestSet` is the best of a partial peel
   */
 final case class PeelResult(
     bestSet: Array[Int],
@@ -18,7 +20,8 @@ final case class PeelResult(
     longTailPeels: Long,
     sparseTrims: Long,
     history: Vector[Double],
-    order: Array[Int]) {
+    order: Array[Int],
+    truncated: Boolean = false) {
   def bestSize: Int = bestSet.length
 }
 

@@ -24,7 +24,8 @@ final class PeelTracker {
   def result(rounds: Int, longTail: Long = 0, sparse: Long = 0,
              stillActive: Array[Int] = Array.empty): PeelResult = {
     val best = (order.view.drop(bestCount) ++ stillActive).toArray.sorted
-    PeelResult(best, bestDensity, rounds, longTail, sparse, hist.result(), order.toArray)
+    PeelResult(best, bestDensity, rounds, longTail, sparse, hist.result(), order.toArray,
+      truncated = stillActive.nonEmpty)
   }
 }
 

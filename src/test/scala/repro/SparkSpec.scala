@@ -9,9 +9,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). Auto-broadcast is off, as in the table jobs' and the
-  * benchmark's sessions, so tests run the plans those sessions run: a join
-  * is broadcast only where the engine asks for it with `broadcast()` (the
-  * peeled ids of each round), never because a frame happened to look small.
+  * benchmark's sessions, so tests run the plans those sessions run: no
+  * join is broadcast because a frame happened to look small.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -94,6 +94,65 @@ class DupinApiSpec extends SparkSpec {
     rejectsDangling(new Dupin(spark).setK(3))
   }
 
+  // Every vertex benign: nothing is left to peel, which the local engine
+  // reports for an empty graph as density 0 and one snapshot.
+  private def allBenign(dupin: Dupin): Unit = {
+    val vertices = (0L to 5L).map(id => (id, true)).toDF("id", "fraudFree")
+    val res = dupin.isBenign(col("fraudFree")).LoadGraph(vertices, exampleEdges).ParDetect()
+    val loc = repro.local.DupinLocal.run(DG, repro.local.LocalGraph.fromEdges(0, Nil))
+    val r = dupin.lastResult
+    assert(res.isEmpty && loc.bestSet.isEmpty)
+    assert(r.bestDensity == loc.bestDensity)
+    assert(r.history == loc.history)
+    assert((r.rounds, r.truncated) == (loc.rounds, loc.truncated))
+  }
+
+  test("all-benign vertices give the local engine's empty-graph result (edge metric)") {
+    allBenign(new Dupin(spark).ESusp(col("amount")))
+  }
+
+  test("all-benign vertices give the local engine's empty-graph result (setK(3))") {
+    allBenign(new Dupin(spark).setK(3))
+  }
+
+  // Vertex rows 3, 1, 2, 3, 1 around the triangle {1,2,3}: the error
+  // names the smallest duplicated id.
+  private def rejectsDuplicateIds(dupin: Dupin): Unit = {
+    val vertices = Seq(3L, 1L, 2L, 3L, 1L).map(id => (id, 0.0)).toDF("id", "prior")
+    val edges = Seq((1L, 2L, 1.0), (2L, 3L, 1.0), (1L, 3L, 1.0)).toDF("src", "dst", "amount")
+    val err = intercept[IllegalArgumentException](dupin.LoadGraph(vertices, edges).ParDetect())
+    assert(err.getMessage.contains("vertex id 1 "), err.getMessage)
+  }
+
+  test("ParDetect rejects a duplicated vertex id (edge metric)") {
+    rejectsDuplicateIds(new Dupin(spark))
+  }
+
+  test("ParDetect rejects a duplicated vertex id (setK(3))") {
+    rejectsDuplicateIds(new Dupin(spark).setK(3))
+  }
+
+  // Property 3.1: suspiciousness must be finite and non-negative.
+  private def violation(dupin: Dupin): String =
+    intercept[IllegalArgumentException](
+      dupin.LoadGraph(exampleVertices, exampleEdges).ParDetect()).getMessage
+
+  test("ParDetect rejects a negative VSusp (Property 3.1)") {
+    val msg = violation(new Dupin(spark).VSusp(lit(-5.0)))
+    assert(msg.contains("vertex 0 has suspiciousness -5.0"), msg)
+  }
+
+  test("ParDetect rejects a negative ESusp (Property 3.1)") {
+    val msg = violation(new Dupin(spark).ESusp(lit(-1.0)))
+    assert(msg.matches("edge \\(\\d+, \\d+\\) has suspiciousness -1\\.0;.*"), msg)
+  }
+
+  test("ParDetect rejects a NaN ESusp and names its edge (Property 3.1)") {
+    val msg = violation(new Dupin(spark).ESusp(
+      when(col("src") === 2L && col("dst") === 3L, lit(Double.NaN)).otherwise(col("amount"))))
+    assert(msg.contains("edge (2, 3) has suspiciousness NaN"), msg)
+  }
+
   test("setEpsilon validates input, ParDetect requires LoadGraph") {
     val dupin = new Dupin(spark)
     assertThrows[IllegalArgumentException](dupin.setEpsilon(-0.5))

@@ -154,13 +154,8 @@ class SparkPeelingSpec extends SparkSpec {
     assert(!full.truncated)
   }
 
-  test("TDS under GPO+LPO stays within a Spark-job budget per snapshot") {
-    // On this graph the run takes 21 jobs over 3 snapshots (7.0 each):
-    // the triangles are listed once and each peel filters that table.
-    // Re-running the self-join every snapshot and observing the last LPO
-    // pass's S twice took 50 jobs over 3 snapshots (16.7 each).
-    val bound = 10.0
-    val g = sg(TestGraphs.cliqueWithTail(8, 30))
+  /** Spark jobs `run` starts, and its result. */
+  private def countJobs(run: => SparkPeeling.Result): (Int, SparkPeeling.Result) = {
     val sc = spark.sparkContext
     val (group, marker) = ("job-budget", "job-budget-marker")
     val jobs = new AtomicInteger()
@@ -174,21 +169,62 @@ class SparkPeelingSpec extends SparkSpec {
         }
     }
     sc.addSparkListener(listener)
-    val res = try {
-      sc.setJobGroup(group, "TDS job budget")
-      val r = SparkPeeling.run(spark, g, TDS, sparkCfg(0.1, true, true))
+    try {
+      sc.setJobGroup(group, "job budget")
+      val r = run
       // The bus delivers events in order: once the marker job's start has
       // arrived, so has every job start of the run.
       sc.setJobGroup(marker, "drain the listener bus")
       sc.parallelize(Seq(1), 1).count()
       assert(drained.await(60, TimeUnit.SECONDS), "listener bus did not drain")
-      r
+      (jobs.get, r)
     } finally {
       sc.clearJobGroup()
       sc.removeSparkListener(listener)
     }
-    val perSnapshot = jobs.get.toDouble / res.history.size
-    assert(perSnapshot < bound, s"${jobs.get} jobs over ${res.history.size} snapshots")
+  }
+
+  test("TDS under GPO+LPO stays within a Spark-job budget per snapshot") {
+    // On this graph the run takes 6 jobs over 3 snapshots (2.0 each): the
+    // triangles are listed once, the initial weights and each peel are one
+    // pass over that table, and selection runs on the driver. With the
+    // weights re-aggregated on the cluster every snapshot it took 21 jobs
+    // (7.0 each); re-running the self-join every snapshot as well, 50 (16.7).
+    val bound = 5.0
+    val (jobs, res) = countJobs(SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(8, 30)), TDS,
+      sparkCfg(0.1, true, true)))
+    val perSnapshot = jobs.toDouble / res.history.size
+    assert(perSnapshot < bound, s"$jobs jobs over ${res.history.size} snapshots")
+  }
+
+  test("DW under GPO+LPO stays within a Spark-job budget per snapshot") {
+    // 2 jobs over 3 snapshots (0.67 each): the initial pass and one peel;
+    // the last peel empties S and needs no job. With the weights
+    // re-aggregated on the cluster every snapshot and the peeled ids
+    // anti-joined out of the vertex and edge frames it took 27 (9.0 each).
+    val bound = 5.0
+    val (jobs, res) = countJobs(SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(8, 30)), DW,
+      sparkCfg(0.1, true, true)))
+    val perSnapshot = jobs.toDouble / res.history.size
+    assert(perSnapshot < bound, s"$jobs jobs over ${res.history.size} snapshots")
+  }
+
+  test("empty, edgeless and single-edge graphs match the local engine") {
+    val graphs = Seq(
+      "empty" -> LocalGraph.fromEdges(0, Nil),
+      "edgeless" -> LocalGraph.fromEdges(3, Nil, Array(0.5, 0.0, 2.0)),
+      "single edge" -> LocalGraph.fromEdges(2, Seq((0, 1, 1.5)), Array(0.25, 0.0)))
+    for ((name, g) <- graphs; m <- Metric.all; (gpo, lpo) <- Seq((false, false), (true, true))) {
+      val what = s"$name ${m.name} gpo=$gpo lpo=$lpo"
+      val loc = DupinLocal.run(m, g, localCfg(0.1, gpo, lpo))
+      val spk = SparkPeeling.run(spark, sg(g), m, sparkCfg(0.1, gpo, lpo))
+      assert(spk.bestSet.map(_.toInt).toSeq == loc.bestSet.toSeq, what)
+      assert(math.abs(spk.bestDensity - loc.bestDensity) <= 1e-12 * math.max(1.0, loc.bestDensity), what)
+      assert(spk.history.size == loc.history.size, what)
+      spk.history.zip(loc.history).foreach { case (a, b) => assert(math.abs(a - b) <= 1e-12, what) }
+      assert((spk.rounds, spk.longTailPeels, spk.sparseTrims, spk.truncated) ==
+        (loc.rounds, loc.longTailPeels, loc.sparseTrims, loc.truncated), what)
+    }
   }
 
   test("Theorem 4.2 holds on the Spark engine (DW, brute-force opt)") {

@@ -152,6 +152,16 @@ class DupinLocalSpec extends AnyFunSuite {
     assert(plain.longTailPeels == 0)
   }
 
+  test("maxRounds cuts a run short and the result says so") {
+    val g = TestGraphs.cliqueWithTail(6, 8)
+    val cut = DupinLocal.run(DG, g, DupinLocal.Config(maxRounds = 1, threads = 1))
+    assert(cut.rounds == 1)
+    assert(cut.truncated)
+    val full = run(DG, g)
+    assert(full.rounds > 1)
+    assert(!full.truncated)
+  }
+
   test("deadline aborts with TleException") {
     val g = Datasets20k.social
     assertThrows[TleException] {
