@@ -13,14 +13,22 @@ import scala.reflect.ClassTag
   *
   * The per-vertex state lives on the driver: the sorted vertex ids, the
   * peeling weights `w_u`, the active flags, `f` and `|S|` — O(|V|), which
-  * the driver holds anyway for the removal order and the best set. Only the
+  * the driver holds anyway for the removal order and the best set. The
   * O(|E|) edge table (edge metrics) or the O(#cliques) clique table (clique
-  * metrics, listed once by [[SparkCliques]]) stays on the cluster,
+  * metrics, listed once by [[SparkCliques]]) starts on the cluster,
   * `localCheckpoint`ed. One pass over it gives the initial weights; each
   * peel is one more pass (one Spark job, no shuffle) that takes the peeled
   * vertices as a broadcast set, drops the rows they hit, and returns per
   * partition the weight those rows took from each surviving member. The
   * driver merges these in partition order.
+  *
+  * Once the surviving rows fit [[SparkPeeling.DriverBudget]], the table
+  * moves to the driver, one block per partition, shipped with the deltas
+  * of the pass that produced it. Every later peel runs the same `drop` on
+  * those blocks in partition order and starts no job, so w, f and the
+  * history are the same as with every peel on the cluster (the switch of
+  * direction-optimising traversal, Beamer et al., SC'12, applied to a
+  * peeling table).
   *
   * With the weights on the driver, every selection (τ, τ_max, the long-tail
   * count, the arg-min guard, the LPO trims, the best snapshot) is the local
@@ -33,6 +41,15 @@ object SparkPeeling {
   /** The shared loop's settings (ε, GPO, LPO, `maxRounds`, ...). */
   type Config = DupinLocal.Config
   val Config: DupinLocal.Config.type = DupinLocal.Config
+
+  /** Table members (rows × arity, as state indices) up to which the peel
+    * finishes on the driver: 2M members, 8 MB of indices plus 8 bytes per
+    * row for edge weights.
+    */
+  val DriverBudget: Long = 1L << 21
+
+  /** The budget a run uses; tests scope another with `withValue`. */
+  private[core] val driverBudget = new scala.util.DynamicVariable[Long](DriverBudget)
 
   /** @param truncated the run stopped at `maxRounds` with vertices still
     *                  active, so `bestSet` is the best of a partial peel
@@ -134,7 +151,7 @@ object SparkPeeling {
       r.history, r.truncated)
   }
 
-  /** One partition of the cluster-side table: row `r` holds the state
+  /** One block of the table, a partition's rows: row `r` holds the state
     * indices `mem(r * arity until (r + 1) * arity)` (an edge's endpoints or
     * a clique's members) and weighs `wt(r)`, or 1 when `wt` is null.
     */
@@ -151,7 +168,9 @@ object SparkPeeling {
   private final class Delta(val idx: Array[Int], val sum: Array[Double], val total: Double,
                             val kept: Int, val error: String) extends Serializable
 
-  /** A task's per-vertex accumulator for one pass over `n` vertices. */
+  /** A per-vertex accumulator over `n` vertices; `result` hands out one
+    * block's sums and clears them, so one accumulator serves many blocks.
+    */
   private final class Sums(n: Int) {
     private val acc = new Array[Double](n)
     private val seen = new Array[Boolean](n)
@@ -166,7 +185,11 @@ object SparkPeeling {
     def result(kept: Int, error: String = null): Delta = {
       val ix = idx.result()
       java.util.Arrays.sort(ix)
-      new Delta(ix, ix.map(acc), total, kept, error)
+      val d = new Delta(ix, ix.map(acc), total, kept, error)
+      ix.foreach { u => acc(u) = 0.0; seen(u) = false }
+      idx.clear()
+      total = 0.0
+      d
     }
   }
 
@@ -203,11 +226,10 @@ object SparkPeeling {
     (new Rows(arity, mem.result(), if (weighted) wt.result() else null), sums.result(count, error))
   }
 
-  /** A removal pass over one partition: drops every row that holds a
+  /** A removal pass over one block: drops every row that holds a
     * peeled vertex and sums its weight onto its surviving members.
     */
-  private def drop(n: Int, peeled: java.util.BitSet)(rows: Rows): (Rows, Delta) = {
-    val sums = new Sums(n)
+  private def drop(sums: Sums, peeled: java.util.BitSet)(rows: Rows): (Rows, Delta) = {
     val a = rows.arity
     val mem = new mutable.ArrayBuilder.ofInt
     val wt = new mutable.ArrayBuilder.ofDouble
@@ -237,7 +259,8 @@ object SparkPeeling {
   }
 
   /** Dupin's peeling state with the vertices on the driver and the rows
-    * (edges or cliques) of `input` on the cluster.
+    * (edges or cliques) of `input` on the cluster, or on the driver once
+    * they fit the budget.
     */
   private final class ClusterState(sc: SparkContext, ids: Array[Long], vw: Array[Double],
                                    arity: Int, weighted: Boolean, input: => RDD[Row])
@@ -247,12 +270,14 @@ object SparkPeeling {
     private var cnt = n
     private val wArr = vw.clone()
     private var fVal = vw.sum
-    /** The checkpointed table, the deltas of the pass that produced it, and
-      * that pass's broadcast (its closure holds it until the table is
-      * dropped).
+    private val budget = driverBudget.value
+    /** The checkpointed table, and the broadcast of the pass that produced
+      * it (its closure holds it until the table is dropped).
       */
     private var table: RDD[(Rows, Delta)] = _
     private var tableArg: Broadcast[_] = _
+    /** The table on the driver, one block per partition, once it fits. */
+    private var blocks: Array[Rows] = _
     private var rowsLeft = 0L
 
     // With no vertex there is nothing to peel (and no row can be valid).
@@ -278,8 +303,21 @@ object SparkPeeling {
       else if (rowsLeft > 0) {
         val peeled = new java.util.BitSet(n)
         us.foreach(peeled.set)
-        val nn = n
-        merge(pass(table, peeled)((p, it) => drop(nn, p)(it.next()._1)), -1.0)
+        if (blocks == null && rowsLeft * arity <= budget) {
+          blocks = table.map(_._1).collect()
+          unpersist()
+        }
+        if (blocks != null) {
+          val sums = new Sums(n)
+          val out = blocks.map(drop(sums, peeled))
+          blocks = out.map(_._1)
+          val deltas = out.map(_._2)
+          rowsLeft = deltas.map(_.kept.toLong).sum
+          merge(deltas, -1.0)
+        } else {
+          val nn = n
+          merge(pass(table, peeled)((p, it) => drop(new Sums(nn), p)(it.next()._1)), -1.0)
+        }
       }
     }
 
@@ -292,27 +330,39 @@ object SparkPeeling {
 
     /** One job: `step` runs on every partition of `src` with `arg` as a
       * broadcast; the rows it keeps are checkpointed as the new table and
-      * its deltas come back in partition order.
+      * its deltas come back in partition order. A partition's kept rows
+      * come back with its delta when they fit its share of the budget; if
+      * the whole table fits and every block came back, it moves to the
+      * driver and the cluster copy is dropped. (If a skewed block stayed
+      * behind, the next peel collects the blocks instead of running a pass.)
       */
     private def pass[A: ClassTag, T](src: RDD[T], arg: A)(
         step: (A, Iterator[T]) => (Rows, Delta)): Array[Delta] = {
       val bc = sc.broadcast(arg)
       val next = src.mapPartitions(it => Iterator.single(step(bc.value, it)))
       next.localCheckpoint()
-      val deltas = next.map(_._2).collect()
-      release()
+      val share = budget / math.max(1, src.getNumPartitions)
+      val out = next.map { case (rows, d) => (if (rows.mem.length <= share) rows else null, d) }.collect()
+      unpersist()
       table = next
       tableArg = bc
+      val deltas = out.map(_._2)
       rowsLeft = deltas.map(_.kept.toLong).sum
+      if (rowsLeft * arity <= budget && out.forall(_._1 != null)) {
+        blocks = out.map(_._1)
+        unpersist()
+      }
       deltas
     }
 
+    /** Drop the table, wherever it is. */
+    def release(): Unit = { unpersist(); blocks = null; rowsLeft = 0 }
+
     /** Drop the cluster-side table. */
-    def release(): Unit = if (table != null) {
+    private def unpersist(): Unit = if (table != null) {
       table.unpersist(blocking = false)
       tableArg.destroy()
       table = null
-      rowsLeft = 0
     }
   }
 }

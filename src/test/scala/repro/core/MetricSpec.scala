@@ -39,6 +39,18 @@ class MetricSpec extends AnyFunSuite {
     assert(FD.prepare(g).vw.toSeq == Seq(0.3, 0.7))
   }
 
+  test("property: FD weights equal 1/log(max(deg) + c) per CSR entry, bit for bit") {
+    val graphs = org.scalacheck.Gen.choose(0.05, 0.9).flatMap(p => TestGraphs.genGraph(maxN = 120, p = p))
+    forAll(graphs, n = 20) { g =>
+      val p = FD.prepare(g)
+      for (u <- 0 until g.n; i <- g.offsets(u) until g.offsets(u + 1)) {
+        val v = g.nbrs(i)
+        val direct = 1.0 / math.log(math.max(g.degree(u), g.degree(v)) + Metric.FraudarC)
+        assert(p.ew(i) == direct, s"edge ($u,$v)")
+      }
+    }
+  }
+
   test("metric registry and k constants match the paper") {
     assert(DG.k == 2 && DW.k == 2 && FD.k == 2)
     assert(TDS.k == 3 && KCliDS(4).k == 4)

@@ -5,8 +5,8 @@ import repro.{Oracle, SparkSpec}
 import repro.testkit.Check.forAll
 import repro.testkit.TestGraphs
 
-/** DataFrame clique counting vs brute force, the local clique state, and a
-  * DuckDB SQL oracle over the same edge table.
+/** DataFrame clique listing and counting vs brute force, the local clique
+  * state, and a DuckDB SQL oracle over the same edge table.
   */
 class SparkCliquesSpec extends SparkSpec {
   import spark.implicits._
@@ -42,6 +42,24 @@ class SparkCliquesSpec extends SparkSpec {
       .map(r => r.getLong(0) -> r.getDouble(1)).toMap
     assert((0L to 3L).forall(counts(_) == 3.0))
     assert(!counts.contains(5L)) // tail vertex in no triangle
+  }
+
+  /** Every k-subset of `g`'s vertices that is a clique, members ascending. */
+  private def bruteCliques(g: repro.local.LocalGraph, k: Int): Set[Seq[Long]] =
+    (0 until g.n).combinations(k)
+      .filter(_.combinations(2).forall(p => g.hasEdge(p(0), p(1))))
+      .map(_.map(_.toLong)).toSet
+
+  test("property: k-clique listings equal brute force, ascending, each clique once") {
+    for ((k, p) <- Seq((3, 0.55), (4, 0.7)))
+      forAll(TestGraphs.genGraph(maxN = 10, p = p), n = 8) { g =>
+        val cs = SparkCliques.columns(k)
+        val rows = SparkCliques.cliques(edgesDf(g), k).select(cs.map(col(_).cast("long")): _*)
+          .collect().map(r => cs.indices.map(r.getLong))
+        assert(rows.forall(r => r.zip(r.tail).forall { case (x, y) => x < y }), s"k=$k: a row is not ascending")
+        assert(rows.distinct.length == rows.length, s"k=$k: a clique is listed twice")
+        assert(rows.toSet == bruteCliques(g, k), s"k=$k")
+      }
   }
 
   test("unsupported k rejected") {
@@ -83,6 +101,26 @@ class SparkCliquesSpec extends SparkSpec {
         |       CAST(e2.dst AS BIGINT) AS c
         |FROM e e1 JOIN e e2 ON e1.dst = e2.src
         |          JOIN e e3 ON e3.src = e1.src AND e3.dst = e2.dst""".stripMargin,
+      "e" -> e)
+  }
+
+  test("oracle: 4-clique listing matches DuckDB six-way self-join") {
+    // The first fixed-seed random graph with a few 4-cliques.
+    val g = Iterator.from(99).map(s => TestGraphs.genGraph(maxN = 10, p = 0.7)
+      .pureApply(org.scalacheck.Gen.Parameters.default, org.scalacheck.rng.Seed(s.toLong)))
+      .find(bruteCliques(_, 4).size >= 3).get
+    val e = edgesDf(g)
+    val four = SparkCliques.fourCliques(e)
+      .select($"a".cast("long"), $"b".cast("long"), $"c".cast("long"), $"d".cast("long"))
+    Oracle.assertEquivalent(
+      four,
+      """SELECT CAST(ab.src AS BIGINT) AS a, CAST(ab.dst AS BIGINT) AS b,
+        |       CAST(bc.dst AS BIGINT) AS c, CAST(cd.dst AS BIGINT) AS d
+        |FROM e ab JOIN e bc ON bc.src = ab.dst
+        |          JOIN e ac ON ac.src = ab.src AND ac.dst = bc.dst
+        |          JOIN e cd ON cd.src = bc.dst
+        |          JOIN e ad ON ad.src = ab.src AND ad.dst = cd.dst
+        |          JOIN e bd ON bd.src = ab.dst AND bd.dst = cd.dst""".stripMargin,
       "e" -> e)
   }
 

@@ -185,28 +185,58 @@ class SparkPeelingSpec extends SparkSpec {
   }
 
   test("TDS under GPO+LPO stays within a Spark-job budget per snapshot") {
-    // On this graph the run takes 6 jobs over 3 snapshots (2.0 each): the
-    // triangles are listed once, the initial weights and each peel are one
-    // pass over that table, and selection runs on the driver. With the
-    // weights re-aggregated on the cluster every snapshot it took 21 jobs
-    // (7.0 each); re-running the self-join every snapshot as well, 50 (16.7).
-    val bound = 5.0
+    // On this graph the run takes 3 jobs over 3 snapshots (1.0 each): two
+    // shuffle stages list the triangles (the out-list `groupBy`, then the
+    // one join), and the initial pass over that table brings the rows to
+    // the driver, where every peel runs. With each peel one more pass over
+    // the table and the listing a three-way self-join it took 6 jobs (2.0
+    // each); with the weights re-aggregated on the cluster every snapshot,
+    // 21 (7.0 each); re-running the self-join every snapshot as well, 50.
     val (jobs, res) = countJobs(SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(8, 30)), TDS,
       sparkCfg(0.1, true, true)))
+    assert(jobs <= 3, s"$jobs jobs")
     val perSnapshot = jobs.toDouble / res.history.size
-    assert(perSnapshot < bound, s"$jobs jobs over ${res.history.size} snapshots")
+    assert(perSnapshot < 5.0, s"$jobs jobs over ${res.history.size} snapshots")
   }
 
   test("DW under GPO+LPO stays within a Spark-job budget per snapshot") {
-    // 2 jobs over 3 snapshots (0.67 each): the initial pass and one peel;
-    // the last peel empties S and needs no job. With the weights
-    // re-aggregated on the cluster every snapshot and the peeled ids
-    // anti-joined out of the vertex and edge frames it took 27 (9.0 each).
-    val bound = 5.0
+    // 1 job over 3 snapshots (0.33 each): the initial pass, which brings the
+    // edges to the driver, where both peels run. With each peel a pass over
+    // the edges on the cluster it took 2 (the last peel empties S and needs
+    // none); with the weights re-aggregated on the cluster every snapshot
+    // and the peeled ids anti-joined out of the vertex and edge frames, 27.
     val (jobs, res) = countJobs(SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(8, 30)), DW,
       sparkCfg(0.1, true, true)))
+    assert(jobs <= 1, s"$jobs jobs")
     val perSnapshot = jobs.toDouble / res.history.size
-    assert(perSnapshot < bound, s"$jobs jobs over ${res.history.size} snapshots")
+    assert(perSnapshot < 5.0, s"$jobs jobs over ${res.history.size} snapshots")
+  }
+
+  test("driver finish: budgets 0, mid-run and unbounded give identical results") {
+    // Budget 0 keeps every peel on the cluster, an unbounded one moves the
+    // table to the driver in the initial pass, and three quarters of the
+    // initial table moves it partway through the run.
+    def view(r: SparkPeeling.Result) =
+      (r.bestSet.toSeq, r.bestDensity, r.rounds, r.longTailPeels, r.sparseTrims, r.history, r.truncated)
+    // Weights whose sums depend on the order they are added in, so a driver
+    // merge out of partition order would show in DW's and FD's history.
+    val g = TestGraphs.cliqueChain(3 to 9, (a, b) => 0.1 + (a * 7 + b * 13) % 10 / 7.0)
+    val jobs = Array.fill(3)(0)
+    for (m <- Metric.all; (gpo, lpo) <- Seq((false, false), (true, true))) {
+      val rows = if (m.edgeBased) g.canonicalEdges.length.toDouble else m.localState(g).f
+      val budgets = Seq(0L, (rows * m.k * 3 / 4).toLong, Long.MaxValue)
+      val runs = budgets.map { b =>
+        SparkPeeling.driverBudget.withValue(b) {
+          countJobs(SparkPeeling.run(spark, sg(g), m, sparkCfg(0.0, gpo, lpo)))
+        }
+      }
+      val what = s"${m.name} gpo=$gpo lpo=$lpo"
+      runs.tail.foreach(r => assert(view(r._2) == view(runs.head._2), what))
+      assert(runs(0)._1 >= runs(1)._1 && runs(1)._1 >= runs(2)._1, s"$what: jobs ${runs.map(_._1)}")
+      runs.indices.foreach(i => jobs(i) += runs(i)._1)
+    }
+    // The mid-run budget switched partway in at least one run.
+    assert(jobs(0) > jobs(1) && jobs(1) > jobs(2), s"jobs per budget ${jobs.toSeq}")
   }
 
   test("empty, edgeless and single-edge graphs match the local engine") {

@@ -30,6 +30,20 @@ object TestGraphs {
     LocalGraph.fromEdges(k + tail, clique ++ path)
   }
 
+  /** Cliques of the given sizes, each joined to the next by one edge `(a,
+    * b)`, `a < b`, of weight `w(a, b)`: the density grows along the chain,
+    * so peeling takes several rounds.
+    */
+  def cliqueChain(sizes: Seq[Int], w: (Int, Int) => Double = (_, _) => 1.0): LocalGraph = {
+    val starts = sizes.scanLeft(0)(_ + _)
+    val edges = sizes.indices.flatMap { c =>
+      val s = starts(c)
+      val clique = for (i <- s until s + sizes(c); j <- i + 1 until s + sizes(c)) yield (i, j)
+      if (c == 0) clique else (s - 1, s) +: clique
+    }
+    LocalGraph.fromEdges(starts.last, edges.map { case (a, b) => (a, b, w(a, b)) })
+  }
+
   /** ScalaCheck generator: connected-ish random weighted graph with
     * n in [2, maxN] and edge probability p; vertex weights in [0, 0.5].
     */
