@@ -59,14 +59,16 @@ final class Dupin(spark: SparkSession) {
     *
     * The vertex rows are collected to the driver (one job), which rejects
     * a duplicated id and (Property 3.1) a negative or non-finite `VSusp` of
-    * a non-benign vertex. One more job checks the edges against the
-    * collected ids, as a broadcast set, before [[SparkPeeling]] peels.
-    * A negative or non-finite `ESusp` (after duplicate edges are summed) is
-    * rejected by the peeling engine's first pass.
+    * a non-benign vertex. An edge metric then checks the edges against the
+    * collected ids in one more job (a broadcast set) before
+    * [[SparkPeeling.runEdge]] peels; a negative or non-finite `ESusp`
+    * (after duplicate edges are summed) is rejected by its first pass. A
+    * clique metric hands the raw edges and the benign ids to
+    * [[SparkPeeling.runClique]], which makes the same endpoint check and
+    * runs on the driver when the edges fit its budget.
     */
   def ParDetect(): Array[Long] = {
     val (vRaw, eRaw) = loaded.getOrElse(throw new IllegalStateException("LoadGraph first"))
-    val sc = spark.sparkContext
     val rows = vRaw.select(col("id").cast("long"), vsusp.cast("double"),
         benign.getOrElse(lit(false)))
       .collect().map { r =>
@@ -75,35 +77,22 @@ final class Dupin(spark: SparkSession) {
     val all = rows.map(_._1).sorted
     SparkPeeling.requireUnique(all)
     val v = SparkPeeling.Vertices(rows.collect { case (id, vw, false) => (id, vw) })
-    val ids = sc.broadcast(all)
-    // An endpoint outside `vertices` would count in f but never in |S|.
-    val dangling = try eRaw.select(col("src").cast("long"), col("dst").cast("long")).rdd
-      .map { r =>
-        def missing(id: Long) = if (java.util.Arrays.binarySearch(ids.value, id) < 0) id else Long.MaxValue
-        math.min(missing(r.getLong(0)), missing(r.getLong(1)))
-      }.fold(Long.MaxValue)(math.min)
-      finally ids.destroy()
-    if (dangling != Long.MaxValue)
-      throw new IllegalArgumentException(s"edge endpoint $dangling is not a row of vertices")
-    val e0 = eRaw.withColumn("w", esusp.cast("double"))
-      .select(col("src").cast("long"), col("dst").cast("long"), col("w"))
-      .where(col("src") =!= col("dst"))
-      .select(least(col("src"), col("dst")).as("src"),
-              greatest(col("dst"), col("src")).as("dst"), col("w"))
-      .groupBy("src", "dst").agg(sum("w").as("w"))
-    // Benign vertices are peeled "within the current iteration" — i.e.
-    // removed before round 1 together with their incident edges.
-    val kept = if (v.ids.length < all.length) Some(sc.broadcast(v.ids)) else None
-    val e = kept.fold(e0) { k =>
-      val isKept = udf((id: Long) => java.util.Arrays.binarySearch(k.value, id) >= 0)
-      e0.where(isKept(col("src")) && isKept(col("dst")))
-    }
     val cfg = SparkPeeling.Config(eps = eps, gpo = gpo, lpo = lpo)
     val res =
-      try {
-        if (cliqueK >= 3) SparkPeeling.runClique(spark, v, e, cliqueK, cfg)
-        else SparkPeeling.runEdge(spark, v, e, cfg)
-      } finally kept.foreach(_.destroy())
+      if (cliqueK >= 3)
+        SparkPeeling.runClique(spark, v, eRaw, cliqueK, cfg, rows.collect { case (id, _, true) => id }.sorted)
+      else {
+        SparkPeeling.requireEndpoints(eRaw, all)
+        val e0 = eRaw.withColumn("w", esusp.cast("double"))
+          .select(col("src").cast("long"), col("dst").cast("long"), col("w"))
+          .where(col("src") =!= col("dst"))
+          .select(least(col("src"), col("dst")).as("src"),
+                  greatest(col("dst"), col("src")).as("dst"), col("w"))
+          .groupBy("src", "dst").agg(sum("w").as("w"))
+        // Benign vertices are peeled "within the current iteration" — i.e.
+        // removed before round 1 together with their incident edges.
+        SparkPeeling.keeping(e0, v.ids, v.ids.length < all.length)(SparkPeeling.runEdge(spark, v, _, cfg))
+      }
     last = Some(res)
     res.bestSet
   }

@@ -5,17 +5,18 @@ import org.apache.spark.sql.functions._
 
 /** k-clique listing (k in {3,4}) and per-vertex clique counts on DataFrames.
   *
-  * Input edges must be undirected-canonical (`src < dst`, one row per
-  * pair). The listing is kCLIST-style (Danisch, Balalau, Sozio, WWW'18)
-  * over the id-oriented DAG: one `groupBy` builds every vertex's sorted
-  * out-list (its neighbours with a larger id), and a partial clique grows
-  * one member at a time, by k−2 equi-joins of its last member against that
-  * one table. Each join keeps the part of the candidate list after the
-  * member and intersects it with the member's out-list; the last member is
-  * exploded from what is left. Members therefore come out in increasing id
-  * order, `a < b < c (< d)`, and every clique is listed exactly once. The
-  * Spark engine lists the cliques once per TDS/kCLiDS run and derives every
-  * round's peeling weights from that table; tests check listings and counts
+  * Input edges must be undirected-canonical (`src < dst`); a pair may
+  * repeat. The listing is kCLIST-style (Danisch, Balalau, Sozio, WWW'18)
+  * over the id-oriented DAG: one `groupBy` builds every vertex's sorted,
+  * de-duplicated out-list (its neighbours with a larger id), and a partial
+  * clique grows one member at a time, by k−2 equi-joins of its last member
+  * against that one table. Each join keeps the part of the candidate list
+  * after the member and intersects it with the member's out-list; the last
+  * member is exploded from what is left. Members therefore come out in
+  * increasing id order, `a < b < c (< d)`, and every clique is listed
+  * exactly once. The Spark engine lists the cliques once per TDS/kCLiDS run
+  * whose edges do not fit its driver budget, and derives every round's
+  * peeling weights from that table; tests check listings and counts
   * against brute force and a DuckDB SQL oracle.
   */
 object SparkCliques {
@@ -34,7 +35,8 @@ object SparkCliques {
     require(k == 3 || k == 4, s"k=$k unsupported")
     val cs = columns(k)
     val (pos, cand) = (col("pos"), col("cand"))
-    val out = edges.groupBy(col("src").as("id")).agg(array_sort(collect_list(col("dst"))).as("out"))
+    val out = edges.groupBy(col("src").as("id"))
+      .agg(array_sort(array_distinct(collect_list(col("dst")))).as("out"))
     // Invariant: members cs(0..i-1) form a clique and `cand` holds, ascending,
     // their common neighbours above the last member.
     var part = out.select(col("id").as(cs.head), col("out").as("cand"))

@@ -5,7 +5,7 @@ import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.local.DupinLocal
+import repro.local.{DupinLocal, LocalGraph}
 import scala.collection.mutable
 import scala.reflect.ClassTag
 
@@ -28,7 +28,11 @@ import scala.reflect.ClassTag
   * those blocks in partition order and starts no job, so w, f and the
   * history are the same as with every peel on the cluster (the switch of
   * direction-optimising traversal, Beamer et al., SC'12, applied to a
-  * peeling table).
+  * peeling table). A clique metric applies the same switch to its input:
+  * when the raw edges fit the budget (2 members a row), they are collected
+  * and the whole detection runs on the driver with the local engine's
+  * [[CliqueMetricState]], which starts no listing job at all; clique counts
+  * are integers, so the result is bit-identical to the distributed one.
   *
   * With the weights on the driver, every selection (τ, τ_max, the long-tail
   * count, the arg-min guard, the LPO trims, the best snapshot) is the local
@@ -44,7 +48,8 @@ object SparkPeeling {
 
   /** Table members (rows × arity, as state indices) up to which the peel
     * finishes on the driver: 2M members, 8 MB of indices plus 8 bytes per
-    * row for edge weights.
+    * row for edge weights. A clique metric's raw input edges count 2
+    * members a row; up to 1M of them are collected as `Row`s.
     */
   val DriverBudget: Long = 1L << 21
 
@@ -134,19 +139,94 @@ object SparkPeeling {
     peel(v, 2, cfg, new ClusterState(spark.sparkContext, v.ids, v.vw, 2, weighted = true,
       e0.select(col("src").cast("long"), col("dst").cast("long"), col("w").cast("double")).rdd))
 
+  /** Throws if an endpoint of `edges` (`src`, `dst`) is not one of the
+    * ascending `ids`, naming the smallest such endpoint; one job, with
+    * `ids` as a broadcast.
+    */
+  private[core] def requireEndpoints(edges: DataFrame, ids: Array[Long]): Unit = {
+    val bc = edges.sparkSession.sparkContext.broadcast(ids)
+    // An endpoint outside `vertices` would count in f but never in |S|.
+    val dangling = try edges.select(col("src").cast("long"), col("dst").cast("long")).rdd
+      .map { r =>
+        def missing(id: Long) = if (java.util.Arrays.binarySearch(bc.value, id) < 0) id else Long.MaxValue
+        math.min(missing(r.getLong(0)), missing(r.getLong(1)))
+      }.fold(Long.MaxValue)(math.min)
+      finally bc.destroy()
+    if (dangling != Long.MaxValue) throw danglingEndpoint(dangling)
+  }
+
+  private def danglingEndpoint(id: Long) =
+    new IllegalArgumentException(s"edge endpoint $id is not a row of vertices")
+
+  /** `run` on the rows of `edges` whose endpoints are both among the
+    * ascending `ids`; when `filter` is false every row is kept and no
+    * broadcast is made.
+    */
+  private[core] def keeping[T](edges: DataFrame, ids: Array[Long], filter: Boolean)(run: DataFrame => T): T =
+    if (!filter) run(edges)
+    else {
+      val bc = edges.sparkSession.sparkContext.broadcast(ids)
+      val isKept = udf((id: Long) => java.util.Arrays.binarySearch(bc.value, id) >= 0)
+      try run(edges.where(isKept(col("src")) && isKept(col("dst")))) finally bc.destroy()
+    }
+
   /** Clique-count peeling (TDS k=3, kCLiDS k=4): `w_u` = active k-cliques
     * through u, `f` = number of active k-cliques; `v`'s vertex weights are
-    * not used. The cliques of `e0` (canonical `src < dst`, endpoints all
-    * vertices of `v`) are listed once; each peel drops the cliques that
-    * hold a peeled vertex.
+    * not used. `edges` are raw `src`, `dst` rows: either orientation,
+    * repeated pairs and self-loops allowed. Every endpoint must be a vertex
+    * of `v` or one of the ascending `benign` ids (an error names the
+    * smallest that is neither); edges with a benign endpoint are dropped.
+    *
+    * At most `budget / 2 + 1` raw rows are collected first. If that was all
+    * of them (rows × 2 within the budget), the detection runs on the
+    * driver: [[repro.local.LocalGraph.fromEdges]] builds the graph and the
+    * local [[CliqueMetricState]] peels it. Otherwise one job checks the
+    * endpoints, and the cliques of the canonicalised edges are listed once
+    * on the cluster; each peel drops the cliques that hold a peeled vertex.
     */
-  def runClique(spark: SparkSession, v: Vertices, e0: DataFrame, k: Int, cfg: Config): Result =
-    peel(v, k, cfg, new ClusterState(spark.sparkContext, v.ids, new Array[Double](v.ids.length), k,
-      weighted = false,
-      SparkCliques.cliques(e0.select(col("src").cast("long"), col("dst").cast("long")), k).rdd))
+  def runClique(spark: SparkSession, v: Vertices, edges: DataFrame, k: Int, cfg: Config,
+                benign: Array[Long] = Array.emptyLongArray): Result = {
+    val raw = edges.select(col("src").cast("long"), col("dst").cast("long"))
+    val limit = math.min(driverBudget.value / 2 + 1, Int.MaxValue.toLong).toInt
+    val head = raw.limit(limit).collect()
+    if (head.length < limit) peel(v, k, cfg, onDriver(v.ids, benign, head, k, cfg.threads))
+    else {
+      requireEndpoints(raw, (v.ids ++ benign).sorted)
+      val canonical = raw.where(col("src") =!= col("dst"))
+        .select(least(col("src"), col("dst")).as("src"), greatest(col("src"), col("dst")).as("dst"))
+      keeping(canonical, v.ids, benign.nonEmpty) { e =>
+        peel(v, k, cfg, new ClusterState(spark.sparkContext, v.ids, new Array[Double](v.ids.length), k,
+          weighted = false, SparkCliques.cliques(e, k).rdd))
+      }
+    }
+  }
 
-  private def peel(v: Vertices, k: Int, cfg: Config, state: ClusterState): Result = {
-    val r = try DupinLocal.runOn(state, k, cfg) finally state.release()
+  /** The local clique state over the collected `(src, dst)` rows: rejects
+    * an endpoint that is neither in `ids` nor in `benign` (naming the
+    * smallest), and drops self-loops and edges with a benign endpoint.
+    */
+  private def onDriver(ids: Array[Long], benign: Array[Long], rows: Array[Row], k: Int,
+                       threads: Int): CliqueMetricState = {
+    val es = new mutable.ArrayBuffer[(Int, Int, Double)](rows.length)
+    var missing = Long.MaxValue
+    def index(id: Long): Int = {
+      val i = java.util.Arrays.binarySearch(ids, id)
+      if (i < 0 && java.util.Arrays.binarySearch(benign, id) < 0) missing = math.min(missing, id)
+      i
+    }
+    rows.foreach { r =>
+      val (a, b) = (index(r.getLong(0)), index(r.getLong(1)))
+      if (a >= 0 && b >= 0 && a != b) es += ((a, b, 1.0))
+    }
+    if (missing != Long.MaxValue) throw danglingEndpoint(missing)
+    new CliqueMetricState(LocalGraph.fromEdges(ids.length, es, threads = threads), k, threads)
+  }
+
+  private def peel(v: Vertices, k: Int, cfg: Config, state: PeelState): Result = {
+    val r = try DupinLocal.runOn(state, k, cfg) finally state match {
+      case s: ClusterState => s.release()
+      case _ =>
+    }
     Result(r.bestSet.map(v.ids(_)), r.bestDensity, r.rounds, r.longTailPeels, r.sparseTrims,
       r.history, r.truncated)
   }

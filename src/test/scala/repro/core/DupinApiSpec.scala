@@ -1,7 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import org.scalacheck.Gen
 import repro.SparkSpec
+import repro.testkit.Check.forAll
 import repro.testkit.TestGraphs
 
 /** The Listing-1 style user API: metric plug-in via VSusp/ESusp,
@@ -92,6 +94,59 @@ class DupinApiSpec extends SparkSpec {
 
   test("ParDetect rejects an edge whose endpoint is not a vertex (setK(3))") {
     rejectsDangling(new Dupin(spark).setK(3))
+  }
+
+  test("ParDetect rejects a dangling edge whose other end is benign (setK(3), both clique paths)") {
+    // Vertex 4 is benign, so the edge (9, 4) would leave with the benign
+    // filter, but 9 is no vertex; it is also smaller than the far end 12 of
+    // the edge (2, 12). The driver path and the distributed one (budget 0)
+    // both check the endpoints before the benign filter.
+    val vertices = Seq(1L, 2L, 3L, 4L).map(id => (id, id == 4L)).toDF("id", "fraudFree")
+    val edges = Seq((1L, 2L), (2L, 3L), (1L, 3L), (3L, 4L), (9L, 4L), (2L, 12L)).toDF("src", "dst")
+    for (budget <- Seq(SparkPeeling.DriverBudget, 0L)) {
+      val err = SparkPeeling.driverBudget.withValue(budget)(intercept[IllegalArgumentException](
+        new Dupin(spark).setK(3).isBenign(col("fraudFree")).LoadGraph(vertices, edges).ParDetect()))
+      assert(err.getMessage.contains("edge endpoint 9 "), s"budget $budget: ${err.getMessage}")
+    }
+  }
+
+  /** A random graph as raw rows: sparse `Long` ids (negative ones too) in
+    * shuffled order, about a fifth of them benign; each edge in a random
+    * orientation, a third of them again reversed, plus two self-loops, all
+    * shuffled.
+    */
+  private val genRawGraph: Gen[(Seq[(Long, Boolean)], Seq[(Long, Long)])] =
+    for {
+      g <- TestGraphs.genGraph(maxN = 12, p = 0.6)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield {
+      val rnd = new scala.util.Random(seed)
+      val id = Array.tabulate(g.n)(u => (u - g.n / 2).toLong * (1L << 40) + rnd.nextInt(1000))
+      val edges = g.canonicalEdges.toSeq.flatMap { case (a, b, _) =>
+        val e = if (rnd.nextBoolean()) (id(a), id(b)) else (id(b), id(a))
+        if (rnd.nextInt(3) == 0) Seq(e, e.swap) else Seq(e)
+      } ++ Seq.fill(2)(id(rnd.nextInt(g.n))).map(x => (x, x))
+      (rnd.shuffle(id.toSeq.map(x => (x, rnd.nextInt(5) == 0))), rnd.shuffle(edges))
+    }
+
+  test("property: clique detection on the driver equals the distributed path") {
+    def view(r: SparkPeeling.Result) =
+      (r.bestSet.toSeq, r.bestDensity, r.rounds, r.longTailPeels, r.sparseTrims, r.history, r.truncated)
+    forAll(genRawGraph, n = 5) { case (vs, es) =>
+      val (vertices, edges) = (vs.toDF("id", "fraudFree"), es.toDF("src", "dst"))
+      for (k <- Seq(3, 4); (gpo, lpo) <- Seq((false, false), (true, true))) {
+        // Budget 0 lists the cliques on the cluster; the default collects
+        // the edges and peels them on the driver.
+        val Seq(cluster, driver) = Seq(0L, SparkPeeling.DriverBudget).map { b =>
+          SparkPeeling.driverBudget.withValue(b) {
+            val dupin = new Dupin(spark).setK(k).setPruning(gpo, lpo).isBenign(col("fraudFree"))
+            dupin.LoadGraph(vertices, edges).ParDetect()
+            view(dupin.lastResult)
+          }
+        }
+        assert(driver == cluster, s"k=$k gpo=$gpo lpo=$lpo")
+      }
+    }
   }
 
   // Every vertex benign: nothing is left to peel, which the local engine

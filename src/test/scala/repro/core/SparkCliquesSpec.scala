@@ -53,12 +53,18 @@ class SparkCliquesSpec extends SparkSpec {
   test("property: k-clique listings equal brute force, ascending, each clique once") {
     for ((k, p) <- Seq((3, 0.55), (4, 0.7)))
       forAll(TestGraphs.genGraph(maxN = 10, p = p), n = 8) { g =>
-        val cs = SparkCliques.columns(k)
-        val rows = SparkCliques.cliques(edgesDf(g), k).select(cs.map(col(_).cast("long")): _*)
-          .collect().map(r => cs.indices.map(r.getLong))
-        assert(rows.forall(r => r.zip(r.tail).forall { case (x, y) => x < y }), s"k=$k: a row is not ascending")
-        assert(rows.distinct.length == rows.length, s"k=$k: a clique is listed twice")
-        assert(rows.toSet == bruteCliques(g, k), s"k=$k")
+        val e = edgesDf(g)
+        // Also with every edge whose ids sum to an even number given twice,
+        // and those with an even `src` a third time.
+        val repeated = e.union(e.where(($"src" + $"dst") % 2 === 0)).union(e.where($"src" % 2 === 0))
+        for ((input, what) <- Seq((e, s"k=$k"), (repeated, s"k=$k, repeated edges"))) {
+          val cs = SparkCliques.columns(k)
+          val rows = SparkCliques.cliques(input, k).select(cs.map(col(_).cast("long")): _*)
+            .collect().map(r => cs.indices.map(r.getLong))
+          assert(rows.forall(r => r.zip(r.tail).forall { case (x, y) => x < y }), s"$what: a row is not ascending")
+          assert(rows.distinct.length == rows.length, s"$what: a clique is listed twice")
+          assert(rows.toSet == bruteCliques(g, k), what)
+        }
       }
   }
 

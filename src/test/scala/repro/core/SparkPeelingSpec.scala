@@ -185,16 +185,29 @@ class SparkPeelingSpec extends SparkSpec {
   }
 
   test("TDS under GPO+LPO stays within a Spark-job budget per snapshot") {
-    // On this graph the run takes 3 jobs over 3 snapshots (1.0 each): two
-    // shuffle stages list the triangles (the out-list `groupBy`, then the
-    // one join), and the initial pass over that table brings the rows to
-    // the driver, where every peel runs. With each peel one more pass over
-    // the table and the listing a three-way self-join it took 6 jobs (2.0
-    // each); with the weights re-aggregated on the cluster every snapshot,
-    // 21 (7.0 each); re-running the self-join every snapshot as well, 50.
+    // On this graph the run takes 0 jobs over 3 snapshots: its 64 input
+    // edges fit the driver budget, so they are collected (a local frame
+    // needs no job for that) and peeled on the driver. Listing the
+    // triangles on the cluster first, it took 3 (two shuffle stages for
+    // the listing, one pass that brought the rows to the driver); with each
+    // peel one more pass over the table and the listing a three-way
+    // self-join, 6; with the weights re-aggregated on the cluster every
+    // snapshot, 21 (7.0 each); re-running the self-join every snapshot as
+    // well, 50.
     val (jobs, res) = countJobs(SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(8, 30)), TDS,
       sparkCfg(0.1, true, true)))
-    assert(jobs <= 3, s"$jobs jobs")
+    assert(jobs <= 0, s"$jobs jobs")
+    val perSnapshot = jobs.toDouble / res.history.size
+    assert(perSnapshot < 5.0, s"$jobs jobs over ${res.history.size} snapshots")
+  }
+
+  test("kCLiDS-4 under GPO+LPO stays within a Spark-job budget per snapshot") {
+    // 0 jobs, as for TDS: the edges fit the driver budget. Listing the
+    // 4-cliques on the cluster first, it took 4 (three shuffle stages for
+    // the listing, one pass that brought the rows to the driver).
+    val (jobs, res) = countJobs(SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(8, 30)), KCliDS(4),
+      sparkCfg(0.1, true, true)))
+    assert(jobs <= 0, s"$jobs jobs")
     val perSnapshot = jobs.toDouble / res.history.size
     assert(perSnapshot < 5.0, s"$jobs jobs over ${res.history.size} snapshots")
   }
@@ -215,21 +228,24 @@ class SparkPeelingSpec extends SparkSpec {
   test("driver finish: budgets 0, mid-run and unbounded give identical results") {
     // Budget 0 keeps every peel on the cluster, an unbounded one moves the
     // table to the driver in the initial pass, and three quarters of the
-    // initial table moves it partway through the run.
+    // initial table moves it partway through the run. A clique metric runs
+    // wholly on the driver once its input edges fit (2 members a row), so
+    // it also gets a budget one member short of that, which lists the
+    // cliques on the cluster and moves them to the driver partway through.
     def view(r: SparkPeeling.Result) =
       (r.bestSet.toSeq, r.bestDensity, r.rounds, r.longTailPeels, r.sparseTrims, r.history, r.truncated)
     // Weights whose sums depend on the order they are added in, so a driver
     // merge out of partition order would show in DW's and FD's history.
     val g = TestGraphs.cliqueChain(3 to 9, (a, b) => 0.1 + (a * 7 + b * 13) % 10 / 7.0)
+    def runAt(g: LocalGraph, m: Metric, gpo: Boolean, lpo: Boolean)(budget: Long) =
+      SparkPeeling.driverBudget.withValue(budget) {
+        countJobs(SparkPeeling.run(spark, sg(g), m, sparkCfg(0.0, gpo, lpo)))
+      }
     val jobs = Array.fill(3)(0)
     for (m <- Metric.all; (gpo, lpo) <- Seq((false, false), (true, true))) {
       val rows = if (m.edgeBased) g.canonicalEdges.length.toDouble else m.localState(g).f
       val budgets = Seq(0L, (rows * m.k * 3 / 4).toLong, Long.MaxValue)
-      val runs = budgets.map { b =>
-        SparkPeeling.driverBudget.withValue(b) {
-          countJobs(SparkPeeling.run(spark, sg(g), m, sparkCfg(0.0, gpo, lpo)))
-        }
-      }
+      val runs = budgets.map(runAt(g, m, gpo, lpo))
       val what = s"${m.name} gpo=$gpo lpo=$lpo"
       runs.tail.foreach(r => assert(view(r._2) == view(runs.head._2), what))
       assert(runs(0)._1 >= runs(1)._1 && runs(1)._1 >= runs(2)._1, s"$what: jobs ${runs.map(_._1)}")
@@ -237,6 +253,18 @@ class SparkPeelingSpec extends SparkSpec {
     }
     // The mid-run budget switched partway in at least one run.
     assert(jobs(0) > jobs(1) && jobs(1) > jobs(2), s"jobs per budget ${jobs.toSeq}")
+    // Budget 2·edges − 1 keeps the clique path off the driver at the start.
+    // On `g` neither clique table fits it before the last peel, so this
+    // runs on a chain that starts with 72 triangles: both tables start above
+    // that budget and fit it with two peels still to come.
+    val h = TestGraphs.cliqueChain(Seq.fill(72)(3) ++ (4 to 9))
+    val under = 2L * h.canonicalEdges.length - 1
+    for (m <- Metric.all.filterNot(_.edgeBased); (gpo, lpo) <- Seq((false, false), (true, true))) {
+      val Seq(cluster, mid) = Seq(0L, under).map(runAt(h, m, gpo, lpo))
+      val what = s"${m.name} gpo=$gpo lpo=$lpo"
+      assert(view(mid._2) == view(cluster._2), what)
+      assert(0 < mid._1 && mid._1 < cluster._1, s"$what: jobs ${cluster._1} at budget 0, ${mid._1} at $under")
+    }
   }
 
   test("empty, edgeless and single-edge graphs match the local engine") {
