@@ -64,8 +64,9 @@ final class Dupin(spark: SparkSession) {
     * [[SparkPeeling.runEdge]] peels; a negative or non-finite `ESusp`
     * (after duplicate edges are summed) is rejected by its first pass. A
     * clique metric hands the raw edges and the benign ids to
-    * [[SparkPeeling.runClique]], which makes the same endpoint check and
-    * runs on the driver when the edges fit its budget.
+    * [[SparkPeeling.runClique]], whose one job over the edges makes the
+    * same endpoint check and brings them to the driver when they fit its
+    * budget.
     */
   def ParDetect(): Array[Long] = {
     val (vRaw, eRaw) = loaded.getOrElse(throw new IllegalStateException("LoadGraph first"))
@@ -77,10 +78,10 @@ final class Dupin(spark: SparkSession) {
     val all = rows.map(_._1).sorted
     SparkPeeling.requireUnique(all)
     val v = SparkPeeling.Vertices(rows.collect { case (id, vw, false) => (id, vw) })
+    val benignIds = rows.collect { case (id, _, true) => id }.sorted
     val cfg = SparkPeeling.Config(eps = eps, gpo = gpo, lpo = lpo)
     val res =
-      if (cliqueK >= 3)
-        SparkPeeling.runClique(spark, v, eRaw, cliqueK, cfg, rows.collect { case (id, _, true) => id }.sorted)
+      if (cliqueK >= 3) SparkPeeling.runClique(spark, v, eRaw, cliqueK, cfg, benignIds)
       else {
         SparkPeeling.requireEndpoints(eRaw, all)
         val e0 = eRaw.withColumn("w", esusp.cast("double"))
@@ -91,7 +92,7 @@ final class Dupin(spark: SparkSession) {
           .groupBy("src", "dst").agg(sum("w").as("w"))
         // Benign vertices are peeled "within the current iteration" — i.e.
         // removed before round 1 together with their incident edges.
-        SparkPeeling.keeping(e0, v.ids, v.ids.length < all.length)(SparkPeeling.runEdge(spark, v, _, cfg))
+        SparkPeeling.keeping(e0, v.ids, benignIds)(SparkPeeling.runEdge(spark, v, _, cfg))
       }
     last = Some(res)
     res.bestSet

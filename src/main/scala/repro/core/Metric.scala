@@ -119,6 +119,10 @@ trait PeelState {
   def w(u: Int): Double
   /** Remove the active vertices `us` (distinct) and update f and w. */
   def removeBatch(us: Array[Int], threads: Int): Unit
+  /** Drop what the state keeps beyond its run, such as a cluster-side
+    * table; a local state keeps nothing.
+    */
+  def release(): Unit = ()
   final def density: Double = if (activeCount == 0) 0.0 else f / activeCount
   /** Ids of the currently active vertices (sorted). */
   final def activeSet: Array[Int] = (0 until n).filter(isActive).toArray

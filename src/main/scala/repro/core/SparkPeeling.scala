@@ -29,10 +29,11 @@ import scala.reflect.ClassTag
   * history are the same as with every peel on the cluster (the switch of
   * direction-optimising traversal, Beamer et al., SC'12, applied to a
   * peeling table). A clique metric applies the same switch to its input:
-  * when the raw edges fit the budget (2 members a row), they are collected
-  * and the whole detection runs on the driver with the local engine's
-  * [[CliqueMetricState]], which starts no listing job at all; clique counts
-  * are integers, so the result is bit-identical to the distributed one.
+  * one job checks the raw edges and, when they fit the budget (2 members
+  * a row), brings them back as state indices; the whole detection then
+  * runs on the driver with the local engine's [[CliqueMetricState]] and
+  * starts no listing job at all. Clique counts are integers, so the result
+  * is bit-identical to the distributed one.
   *
   * With the weights on the driver, every selection (τ, τ_max, the long-tail
   * count, the arg-min guard, the LPO trims, the best snapshot) is the local
@@ -48,8 +49,9 @@ object SparkPeeling {
 
   /** Table members (rows × arity, as state indices) up to which the peel
     * finishes on the driver: 2M members, 8 MB of indices plus 8 bytes per
-    * row for edge weights. A clique metric's raw input edges count 2
-    * members a row; up to 1M of them are collected as `Row`s.
+    * row for edge weights. A clique metric's kept input edges count 2
+    * members a row and come back as the same `Int` indices; building the
+    * local graph from them takes about 40 bytes more per edge while it runs.
     */
   val DriverBudget: Long = 1L << 21
 
@@ -159,11 +161,11 @@ object SparkPeeling {
     new IllegalArgumentException(s"edge endpoint $id is not a row of vertices")
 
   /** `run` on the rows of `edges` whose endpoints are both among the
-    * ascending `ids`; when `filter` is false every row is kept and no
+    * ascending `ids`; when no vertex is `benign` every row is kept and no
     * broadcast is made.
     */
-  private[core] def keeping[T](edges: DataFrame, ids: Array[Long], filter: Boolean)(run: DataFrame => T): T =
-    if (!filter) run(edges)
+  private[core] def keeping[T](edges: DataFrame, ids: Array[Long], benign: Array[Long])(run: DataFrame => T): T =
+    if (benign.isEmpty) run(edges)
     else {
       val bc = edges.sparkSession.sparkContext.broadcast(ids)
       val isKept = udf((id: Long) => java.util.Arrays.binarySearch(bc.value, id) >= 0)
@@ -177,56 +179,74 @@ object SparkPeeling {
     * of `v` or one of the ascending `benign` ids (an error names the
     * smallest that is neither); edges with a benign endpoint are dropped.
     *
-    * At most `budget / 2 + 1` raw rows are collected first. If that was all
-    * of them (rows × 2 within the budget), the detection runs on the
-    * driver: [[repro.local.LocalGraph.fromEdges]] builds the graph and the
-    * local [[CliqueMetricState]] peels it. Otherwise one job checks the
-    * endpoints, and the cliques of the canonicalised edges are listed once
-    * on the cluster; each peel drops the cliques that hold a peeled vertex.
+    * One job reads every edge: it checks the endpoints and, per partition,
+    * returns the kept edges as state indices while they fit the
+    * partition's share of the budget. If every partition's came back, the
+    * detection runs on the driver: [[repro.local.LocalGraph.fromEdges]]
+    * builds the graph and the local [[CliqueMetricState]] peels it.
+    * Otherwise the cliques of the canonicalised edges are listed once on
+    * the cluster, and each peel drops the cliques that hold a peeled vertex.
     */
   def runClique(spark: SparkSession, v: Vertices, edges: DataFrame, k: Int, cfg: Config,
                 benign: Array[Long] = Array.emptyLongArray): Result = {
     val raw = edges.select(col("src").cast("long"), col("dst").cast("long"))
-    val limit = math.min(driverBudget.value / 2 + 1, Int.MaxValue.toLong).toInt
-    val head = raw.limit(limit).collect()
-    if (head.length < limit) peel(v, k, cfg, onDriver(v.ids, benign, head, k, cfg.threads))
-    else {
-      requireEndpoints(raw, (v.ids ++ benign).sorted)
+    val pairs = keptPairs(raw, v.ids, benign)
+    if (pairs != null) {
+      val es = new collection.IndexedSeq[(Int, Int, Double)] {
+        def length: Int = pairs.length / 2
+        def apply(i: Int): (Int, Int, Double) = (pairs(2 * i), pairs(2 * i + 1), 1.0)
+      }
+      val g = LocalGraph.fromEdges(v.ids.length, es, threads = cfg.threads)
+      peel(v, k, cfg, new CliqueMetricState(g, k, cfg.threads))
+    } else {
       val canonical = raw.where(col("src") =!= col("dst"))
         .select(least(col("src"), col("dst")).as("src"), greatest(col("src"), col("dst")).as("dst"))
-      keeping(canonical, v.ids, benign.nonEmpty) { e =>
+      keeping(canonical, v.ids, benign) { e =>
         peel(v, k, cfg, new ClusterState(spark.sparkContext, v.ids, new Array[Double](v.ids.length), k,
           weighted = false, SparkCliques.cliques(e, k).rdd))
       }
     }
   }
 
-  /** The local clique state over the collected `(src, dst)` rows: rejects
-    * an endpoint that is neither in `ids` nor in `benign` (naming the
-    * smallest), and drops self-loops and edges with a benign endpoint.
+  /** One job over the `(src, dst)` rows of `raw`: throws if an endpoint is
+    * neither in the ascending `ids` nor in `benign`, naming the smallest.
+    * Returns the other rows as state index pairs (`a0, b0, a1, b1, ...`,
+    * self-loops and rows with a benign endpoint dropped) when every
+    * partition's pairs fit its share of the budget, as in
+    * [[ClusterState]]'s passes, so at most the budget's members come back;
+    * null otherwise.
     */
-  private def onDriver(ids: Array[Long], benign: Array[Long], rows: Array[Row], k: Int,
-                       threads: Int): CliqueMetricState = {
-    val es = new mutable.ArrayBuffer[(Int, Int, Double)](rows.length)
-    var missing = Long.MaxValue
-    def index(id: Long): Int = {
-      val i = java.util.Arrays.binarySearch(ids, id)
-      if (i < 0 && java.util.Arrays.binarySearch(benign, id) < 0) missing = math.min(missing, id)
-      i
-    }
-    rows.foreach { r =>
-      val (a, b) = (index(r.getLong(0)), index(r.getLong(1)))
-      if (a >= 0 && b >= 0 && a != b) es += ((a, b, 1.0))
-    }
+  private def keptPairs(raw: DataFrame, ids: Array[Long], benign: Array[Long]): Array[Int] = {
+    val rows = raw.rdd
+    val share = driverBudget.value / math.max(1, rows.getNumPartitions)
+    val bc = raw.sparkSession.sparkContext.broadcast((ids, benign))
+    val out = try rows.mapPartitions { it =>
+        val (is, bs) = bc.value
+        var missing = Long.MaxValue
+        def index(id: Long): Int = {
+          val i = java.util.Arrays.binarySearch(is, id)
+          if (i < 0 && java.util.Arrays.binarySearch(bs, id) < 0) missing = math.min(missing, id)
+          i
+        }
+        var pairs = new mutable.ArrayBuilder.ofInt
+        var members = 0L
+        it.foreach { r =>
+          val (a, b) = (index(r.getLong(0)), index(r.getLong(1)))
+          if (pairs != null && a >= 0 && b >= 0 && a != b) {
+            members += 2
+            if (members > share) pairs = null else { pairs += a; pairs += b }
+          }
+        }
+        Iterator.single((missing, if (pairs == null) null else pairs.result()))
+      }.collect()
+      finally bc.destroy()
+    val missing = out.foldLeft(Long.MaxValue)((m, p) => math.min(m, p._1))
     if (missing != Long.MaxValue) throw danglingEndpoint(missing)
-    new CliqueMetricState(LocalGraph.fromEdges(ids.length, es, threads = threads), k, threads)
+    if (out.exists(_._2 == null)) null else Array.concat(out.map(_._2): _*)
   }
 
   private def peel(v: Vertices, k: Int, cfg: Config, state: PeelState): Result = {
-    val r = try DupinLocal.runOn(state, k, cfg) finally state match {
-      case s: ClusterState => s.release()
-      case _ =>
-    }
+    val r = try DupinLocal.runOn(state, k, cfg) finally state.release()
     Result(r.bestSet.map(v.ids(_)), r.bestDensity, r.rounds, r.longTailPeels, r.sparseTrims,
       r.history, r.truncated)
   }
@@ -436,7 +456,7 @@ object SparkPeeling {
     }
 
     /** Drop the table, wherever it is. */
-    def release(): Unit = { unpersist(); blocks = null; rowsLeft = 0 }
+    override def release(): Unit = { unpersist(); blocks = null; rowsLeft = 0 }
 
     /** Drop the cluster-side table. */
     private def unpersist(): Unit = if (table != null) {
