@@ -5,6 +5,7 @@ import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 import repro.local.{DupinLocal, LocalGraph}
 import scala.collection.mutable
 import scala.reflect.ClassTag
@@ -50,8 +51,9 @@ object SparkPeeling {
   /** Table members (rows × arity, as state indices) up to which the peel
     * finishes on the driver: 2M members, 8 MB of indices plus 8 bytes per
     * row for edge weights. A clique metric's kept input edges count 2
-    * members a row and come back as the same `Int` indices; building the
-    * local graph from them takes about 40 bytes more per edge while it runs.
+    * members a row and come back as the same `Int` indices (8 bytes an
+    * edge); the local graph built from them keeps 24 bytes an edge, and at
+    * 1M edges the build ran in a 128 MB heap but not in 96 MB.
     */
   val DriverBudget: Long = 1L << 21
 
@@ -189,7 +191,11 @@ object SparkPeeling {
     */
   def runClique(spark: SparkSession, v: Vertices, edges: DataFrame, k: Int, cfg: Config,
                 benign: Array[Long] = Array.emptyLongArray): Result = {
-    val raw = edges.select(col("src").cast("long"), col("dst").cast("long"))
+    // Ids that are already Long are read from `edges` itself: Spark keeps a
+    // frame's plan, so detections on one frame plan it once.
+    val raw =
+      if (Seq("src", "dst").forall(c => edges.schema(c).dataType == LongType)) edges
+      else edges.withColumn("src", col("src").cast("long")).withColumn("dst", col("dst").cast("long"))
     val pairs = keptPairs(raw, v.ids, benign)
     if (pairs != null) {
       val es = new collection.IndexedSeq[(Int, Int, Double)] {
@@ -208,7 +214,7 @@ object SparkPeeling {
     }
   }
 
-  /** One job over the `(src, dst)` rows of `raw`: throws if an endpoint is
+  /** One job over the Long `src`, `dst` of `raw`: throws if an endpoint is
     * neither in the ascending `ids` nor in `benign`, naming the smallest.
     * Returns the other rows as state index pairs (`a0, b0, a1, b1, ...`,
     * self-loops and rows with a benign endpoint dropped) when every
@@ -218,6 +224,7 @@ object SparkPeeling {
     */
   private def keptPairs(raw: DataFrame, ids: Array[Long], benign: Array[Long]): Array[Int] = {
     val rows = raw.rdd
+    val (src, dst) = (raw.schema.fieldIndex("src"), raw.schema.fieldIndex("dst"))
     val share = driverBudget.value / math.max(1, rows.getNumPartitions)
     val bc = raw.sparkSession.sparkContext.broadcast((ids, benign))
     val out = try rows.mapPartitions { it =>
@@ -231,7 +238,7 @@ object SparkPeeling {
         var pairs = new mutable.ArrayBuilder.ofInt
         var members = 0L
         it.foreach { r =>
-          val (a, b) = (index(r.getLong(0)), index(r.getLong(1)))
+          val (a, b) = (index(r.getLong(src)), index(r.getLong(dst)))
           if (pairs != null && a >= 0 && b >= 0 && a != b) {
             members += 2
             if (members > share) pairs = null else { pairs += a; pairs += b }

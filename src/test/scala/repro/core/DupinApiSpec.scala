@@ -78,6 +78,22 @@ class DupinApiSpec extends SparkSpec {
     assert(res.toSeq == (0L until 5L))
   }
 
+  test("setK(3) reads Int edge ids as it reads Long ones (both clique paths)") {
+    // A Long frame is read as it is; an Int one goes through a cast.
+    val es = (for (i <- 0 until 5; j <- i + 1 until 5) yield (i, j)) ++ (5 until 12).map(i => (i, i - 1))
+    val vertices = (0L until 12L).map(id => (id, 0.0)).toDF("id", "prior")
+    for (budget <- Seq(SparkPeeling.DriverBudget, 0L)) {
+      val Seq(asInt, asLong) = Seq(es.toDF("src", "dst"), es.map { case (a, b) => (a.toLong, b.toLong) }.toDF("src", "dst"))
+        .map { edges =>
+          SparkPeeling.driverBudget.withValue(budget) {
+            val dupin = new Dupin(spark).setK(3)
+            (dupin.LoadGraph(vertices, edges).ParDetect().toSeq, dupin.lastResult.history)
+          }
+        }
+      assert(asInt == asLong && asInt._1 == (0L until 5L), s"budget $budget")
+    }
+  }
+
   // A triangle {1,2,3} whose vertex frame lacks the far ends 7, 8, 9 of
   // three more edges; the error names the smallest.
   private def rejectsDangling(dupin: Dupin): Unit = {
