@@ -113,16 +113,17 @@ class DupinApiSpec extends SparkSpec {
   }
 
   test("ParDetect rejects a dangling edge whose other end is benign (setK(3), both clique paths)") {
-    // Vertex 4 is benign, so the edge (9, 4) would leave with the benign
-    // filter, but 9 is no vertex; it is also smaller than the far end 12 of
-    // the edge (2, 12). The driver path and the distributed one (budget 0)
-    // both check the endpoints before the benign filter.
+    // Vertex 4 is benign, so the edge between 9 and 4 (either way round)
+    // would leave with the benign filter, but 9 is no vertex; it is also
+    // smaller than the far end 12 of the edge (2, 12). The driver path and
+    // the distributed one (budget 0) both check the endpoints before the
+    // benign filter.
     val vertices = Seq(1L, 2L, 3L, 4L).map(id => (id, id == 4L)).toDF("id", "fraudFree")
-    val edges = Seq((1L, 2L), (2L, 3L), (1L, 3L), (3L, 4L), (9L, 4L), (2L, 12L)).toDF("src", "dst")
-    for (budget <- Seq(SparkPeeling.DriverBudget, 0L)) {
+    for (bad <- Seq((9L, 4L), (4L, 9L)); budget <- Seq(SparkPeeling.DriverBudget, 0L)) {
+      val edges = Seq((1L, 2L), (2L, 3L), (1L, 3L), (3L, 4L), bad, (2L, 12L)).toDF("src", "dst")
       val err = SparkPeeling.driverBudget.withValue(budget)(intercept[IllegalArgumentException](
         new Dupin(spark).setK(3).isBenign(col("fraudFree")).LoadGraph(vertices, edges).ParDetect()))
-      assert(err.getMessage.contains("edge endpoint 9 "), s"budget $budget: ${err.getMessage}")
+      assert(err.getMessage.contains("edge endpoint 9 "), s"edge $bad, budget $budget: ${err.getMessage}")
     }
   }
 

@@ -215,7 +215,10 @@ class SparkPeelingSpec extends SparkSpec {
     // With no driver budget every peel runs on the cluster: the pass that
     // checks the edges, the listing's shuffle stages (two for triangles,
     // three for 4-cliques), the initial pass over the clique table and one
-    // pass per peel that leaves S non-empty.
+    // pass per peel that leaves S non-empty: 5 jobs for TDS, 6 for
+    // kCLiDS-4. Before `runClique` checked the edges itself, `run` took 4
+    // and 5 here; `Dupin.ParDetect` ran that check as a job of its own, so
+    // its count is unchanged.
     for ((m, limit) <- Seq(TDS -> 5, KCliDS(4) -> 6)) {
       val (jobs, res) = SparkPeeling.driverBudget.withValue(0L) {
         countJobs(SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(8, 30)), m, sparkCfg(0.1, true, true)))
