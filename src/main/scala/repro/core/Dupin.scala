@@ -59,14 +59,14 @@ final class Dupin(spark: SparkSession) {
     *
     * The vertex rows are collected to the driver (one job), which rejects
     * a duplicated id and (Property 3.1) a negative or non-finite `VSusp` of
-    * a non-benign vertex. An edge metric then checks the edges against the
-    * collected ids in one more job (a broadcast set) before
-    * [[SparkPeeling.runEdge]] peels; a negative or non-finite `ESusp`
-    * (after duplicate edges are summed) is rejected by its first pass. A
-    * clique metric hands the raw edges and the benign ids to
-    * [[SparkPeeling.runClique]], whose one job over the edges makes the
-    * same endpoint check and brings them to the driver when they fit its
-    * budget.
+    * a non-benign vertex. Both metric families hand the edges and the
+    * benign ids to the engine, whose first pass over the edges checks
+    * every endpoint (naming the smallest that is neither a vertex nor
+    * benign) and drops self-loops and edges with a benign endpoint. An
+    * edge metric first orients each edge and sums the `ESusp` of its
+    * repeats, and [[SparkPeeling.runEdge]]'s first pass rejects a negative
+    * or non-finite sum; a clique metric hands the raw edges to
+    * [[SparkPeeling.runClique]].
     */
   def ParDetect(): Array[Long] = {
     val (vRaw, eRaw) = loaded.getOrElse(throw new IllegalStateException("LoadGraph first"))
@@ -75,24 +75,21 @@ final class Dupin(spark: SparkSession) {
       .collect().map { r =>
         (r.getLong(0), if (r.isNullAt(1)) Double.NaN else r.getDouble(1), !r.isNullAt(2) && r.getBoolean(2))
       }
-    val all = rows.map(_._1).sorted
-    SparkPeeling.requireUnique(all)
+    SparkPeeling.requireUnique(rows.map(_._1).sorted)
     val v = SparkPeeling.Vertices(rows.collect { case (id, vw, false) => (id, vw) })
+    // Benign vertices are peeled "within the current iteration", i.e.
+    // removed before round 1 together with their incident edges.
     val benignIds = rows.collect { case (id, _, true) => id }.sorted
     val cfg = SparkPeeling.Config(eps = eps, gpo = gpo, lpo = lpo)
     val res =
       if (cliqueK >= 3) SparkPeeling.runClique(spark, v, eRaw, cliqueK, cfg, benignIds)
       else {
-        SparkPeeling.requireEndpoints(eRaw, all)
-        val e0 = eRaw.withColumn("w", esusp.cast("double"))
-          .select(col("src").cast("long"), col("dst").cast("long"), col("w"))
-          .where(col("src") =!= col("dst"))
-          .select(least(col("src"), col("dst")).as("src"),
-                  greatest(col("dst"), col("src")).as("dst"), col("w"))
+        // Ends in ascending order; a null one (which `least` would skip)
+        // sorts first and reaches the engine's check.
+        val ends = sort_array(array(col("src").cast("long"), col("dst").cast("long")))
+        val e0 = eRaw.select(ends(0).as("src"), ends(1).as("dst"), esusp.cast("double").as("w"))
           .groupBy("src", "dst").agg(sum("w").as("w"))
-        // Benign vertices are peeled "within the current iteration" — i.e.
-        // removed before round 1 together with their incident edges.
-        SparkPeeling.keeping(e0, v.ids, benignIds)(SparkPeeling.runEdge(spark, v, _, cfg))
+        SparkPeeling.runEdge(spark, v, e0, cfg, benignIds)
       }
     last = Some(res)
     res.bestSet

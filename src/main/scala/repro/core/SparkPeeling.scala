@@ -3,7 +3,8 @@ package repro.core
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
 import repro.local.{DupinLocal, LocalGraph}
@@ -23,6 +24,11 @@ import scala.reflect.ClassTag
   * partition the weight those rows took from each surviving member. The
   * driver merges these in partition order.
   *
+  * The first pass over the input edges is the only input check, for both
+  * metric families: it maps every endpoint to a state index, rejects one
+  * that is neither a vertex nor benign (naming the smallest), and drops
+  * self-loops and edges with a benign endpoint.
+  *
   * Once the surviving rows fit [[SparkPeeling.DriverBudget]], the table
   * moves to the driver, one block per partition, shipped with the deltas
   * of the pass that produced it. Every later peel runs the same `drop` on
@@ -30,11 +36,10 @@ import scala.reflect.ClassTag
   * history are the same as with every peel on the cluster (the switch of
   * direction-optimising traversal, Beamer et al., SC'12, applied to a
   * peeling table). A clique metric applies the same switch to its input:
-  * one job checks the raw edges and, when they fit the budget (2 members
-  * a row), brings them back as state indices; the whole detection then
-  * runs on the driver with the local engine's [[CliqueMetricState]] and
-  * starts no listing job at all. Clique counts are integers, so the result
-  * is bit-identical to the distributed one.
+  * when the kept edges of the first pass fit the budget (2 members a row),
+  * the whole detection runs on the driver with the local engine's
+  * [[CliqueMetricState]] and starts no listing job at all. Clique counts
+  * are integers, so the result is bit-identical to the distributed one.
   *
   * With the weights on the driver, every selection (τ, τ_max, the long-tail
   * count, the arg-min guard, the LPO trims, the best snapshot) is the local
@@ -51,9 +56,9 @@ object SparkPeeling {
   /** Table members (rows × arity, as state indices) up to which the peel
     * finishes on the driver: 2M members, 8 MB of indices plus 8 bytes per
     * row for edge weights. A clique metric's kept input edges count 2
-    * members a row and come back as the same `Int` indices (8 bytes an
-    * edge); the local graph built from them keeps 24 bytes an edge, and at
-    * 1M edges the build ran in a 128 MB heap but not in 96 MB.
+    * members a row (8 bytes an edge); the local graph built from them
+    * keeps 24 bytes an edge, and at 1M edges the build ran in a 128 MB
+    * heap but not in 96 MB.
     */
   val DriverBudget: Long = 1L << 21
 
@@ -134,122 +139,69 @@ object SparkPeeling {
   }
 
   /** Edge-sum peeling (DG/DW/FD and the user-defined facade metrics):
-    * `w_u = vw_u + Σ_{(u,v)∈E[S]} w_uv`, `f = Σ vw + Σ w`. Every endpoint
-    * of `e0` (`src`, `dst`, `w`; canonical `src < dst`, one row per pair)
-    * must be a vertex of `v`, and (Property 3.1) every `w` finite and
-    * non-negative; both are checked in the initial pass.
+    * `w_u = vw_u + Σ_{(u,v)∈E[S]} w_uv`, `f = Σ vw + Σ w`. `e0` holds
+    * `src`, `dst`, `w`, one row per unordered pair. The first pass
+    * ([[load]]) checks every endpoint against the vertices of `v` and the
+    * ascending `benign` ids, drops self-loops and edges with a benign
+    * endpoint, and (Property 3.1) requires every kept `w` to be finite and
+    * non-negative.
     */
-  def runEdge(spark: SparkSession, v: Vertices, e0: DataFrame, cfg: Config): Result =
-    peel(v, 2, cfg, new ClusterState(spark.sparkContext, v.ids, v.vw, 2, weighted = true,
-      e0.select(col("src").cast("long"), col("dst").cast("long"), col("w").cast("double")).rdd))
-
-  /** Throws if an endpoint of `edges` (`src`, `dst`) is not one of the
-    * ascending `ids`, naming the smallest such endpoint; one job, with
-    * `ids` as a broadcast.
-    */
-  private[core] def requireEndpoints(edges: DataFrame, ids: Array[Long]): Unit = {
-    val bc = edges.sparkSession.sparkContext.broadcast(ids)
-    // An endpoint outside `vertices` would count in f but never in |S|.
-    val dangling = try edges.select(col("src").cast("long"), col("dst").cast("long")).rdd
-      .map { r =>
-        def missing(id: Long) = if (java.util.Arrays.binarySearch(bc.value, id) < 0) id else Long.MaxValue
-        math.min(missing(r.getLong(0)), missing(r.getLong(1)))
-      }.fold(Long.MaxValue)(math.min)
-      finally bc.destroy()
-    if (dangling != Long.MaxValue) throw danglingEndpoint(dangling)
+  def runEdge(spark: SparkSession, v: Vertices, e0: DataFrame, cfg: Config,
+              benign: Array[Long] = Array.emptyLongArray): Result = {
+    val table = new Table(spark.sparkContext, v.ids.length, 2)
+    val e = e0.select(col("src").cast("long"), col("dst").cast("long"), col("w").cast("double"))
+    val loaded = table.load(e.queryExecution.toRdd, v.ids, benign, Array(0, 1), weightAt = 2)
+    peel(v, 2, cfg, new ClusterState(v.vw, table, loaded))
   }
-
-  private def danglingEndpoint(id: Long) =
-    new IllegalArgumentException(s"edge endpoint $id is not a row of vertices")
-
-  /** `run` on the rows of `edges` whose endpoints are both among the
-    * ascending `ids`; when no vertex is `benign` every row is kept and no
-    * broadcast is made.
-    */
-  private[core] def keeping[T](edges: DataFrame, ids: Array[Long], benign: Array[Long])(run: DataFrame => T): T =
-    if (benign.isEmpty) run(edges)
-    else {
-      val bc = edges.sparkSession.sparkContext.broadcast(ids)
-      val isKept = udf((id: Long) => java.util.Arrays.binarySearch(bc.value, id) >= 0)
-      try run(edges.where(isKept(col("src")) && isKept(col("dst")))) finally bc.destroy()
-    }
 
   /** Clique-count peeling (TDS k=3, kCLiDS k=4): `w_u` = active k-cliques
     * through u, `f` = number of active k-cliques; `v`'s vertex weights are
     * not used. `edges` are raw `src`, `dst` rows: either orientation,
-    * repeated pairs and self-loops allowed. Every endpoint must be a vertex
-    * of `v` or one of the ascending `benign` ids (an error names the
-    * smallest that is neither); edges with a benign endpoint are dropped.
-    *
-    * One job reads every edge: it checks the endpoints and, per partition,
-    * returns the kept edges as state indices while they fit the
-    * partition's share of the budget. If every partition's came back, the
-    * detection runs on the driver: [[repro.local.LocalGraph.fromEdges]]
-    * builds the graph and the local [[CliqueMetricState]] peels it.
-    * Otherwise the cliques of the canonicalised edges are listed once on
-    * the cluster, and each peel drops the cliques that hold a peeled vertex.
+    * repeated pairs and self-loops allowed. The first pass ([[load]]) checks
+    * and drops them as [[runEdge]]'s does and keeps the rest as state index
+    * pairs. If they fit the budget, the detection runs on the driver:
+    * [[repro.local.LocalGraph.fromEdges]] builds the graph and the local
+    * [[CliqueMetricState]] peels it. Otherwise the cliques of the kept pairs
+    * are listed once on the cluster, and each peel drops the cliques that
+    * hold a peeled vertex.
     */
   def runClique(spark: SparkSession, v: Vertices, edges: DataFrame, k: Int, cfg: Config,
                 benign: Array[Long] = Array.emptyLongArray): Result = {
+    import spark.implicits._
+    val n = v.ids.length
     // Ids that are already Long are read from `edges` itself: Spark keeps a
     // frame's plan, so detections on one frame plan it once.
     val raw =
       if (Seq("src", "dst").forall(c => edges.schema(c).dataType == LongType)) edges
       else edges.withColumn("src", col("src").cast("long")).withColumn("dst", col("dst").cast("long"))
-    val pairs = keptPairs(raw, v.ids, benign)
-    if (pairs != null) {
+    val kept = new Table(spark.sparkContext, n, 2)
+    kept.load(raw.queryExecution.toRdd, v.ids, benign, Array("src", "dst").map(raw.schema.fieldIndex),
+      weightAt = -1)
+    if (kept.blocks != null) {
+      val pairs = kept.blocks.flatMap(_.mem)
+      kept.release()
       val es = new collection.IndexedSeq[(Int, Int, Double)] {
         def length: Int = pairs.length / 2
         def apply(i: Int): (Int, Int, Double) = (pairs(2 * i), pairs(2 * i + 1), 1.0)
       }
-      val g = LocalGraph.fromEdges(v.ids.length, es, threads = cfg.threads)
+      val g = LocalGraph.fromEdges(n, es, threads = cfg.threads)
       peel(v, k, cfg, new CliqueMetricState(g, k, cfg.threads))
     } else {
-      val canonical = raw.where(col("src") =!= col("dst"))
-        .select(least(col("src"), col("dst")).as("src"), greatest(col("src"), col("dst")).as("dst"))
-      keeping(canonical, v.ids, benign) { e =>
-        peel(v, k, cfg, new ClusterState(spark.sparkContext, v.ids, new Array[Double](v.ids.length), k,
-          weighted = false, SparkCliques.cliques(e, k).rdd))
-      }
-    }
-  }
-
-  /** One job over the Long `src`, `dst` of `raw`: throws if an endpoint is
-    * neither in the ascending `ids` nor in `benign`, naming the smallest.
-    * Returns the other rows as state index pairs (`a0, b0, a1, b1, ...`,
-    * self-loops and rows with a benign endpoint dropped) when every
-    * partition's pairs fit its share of the budget, as in
-    * [[ClusterState]]'s passes, so at most the budget's members come back;
-    * null otherwise.
-    */
-  private def keptPairs(raw: DataFrame, ids: Array[Long], benign: Array[Long]): Array[Int] = {
-    val rows = raw.rdd
-    val (src, dst) = (raw.schema.fieldIndex("src"), raw.schema.fieldIndex("dst"))
-    val share = driverBudget.value / math.max(1, rows.getNumPartitions)
-    val bc = raw.sparkSession.sparkContext.broadcast((ids, benign))
-    val out = try rows.mapPartitions { it =>
-        val (is, bs) = bc.value
-        var missing = Long.MaxValue
-        def index(id: Long): Int = {
-          val i = java.util.Arrays.binarySearch(is, id)
-          if (i < 0 && java.util.Arrays.binarySearch(bs, id) < 0) missing = math.min(missing, id)
-          i
-        }
-        var pairs = new mutable.ArrayBuilder.ofInt
-        var members = 0L
-        it.foreach { r =>
-          val (a, b) = (index(r.getLong(src)), index(r.getLong(dst)))
-          if (pairs != null && a >= 0 && b >= 0 && a != b) {
-            members += 2
-            if (members > share) pairs = null else { pairs += a; pairs += b }
+      val listed = new Table(spark.sparkContext, n, k)
+      val loaded = try {
+        val canonical = kept.rows.flatMap { r =>
+          Iterator.tabulate(r.count) { i =>
+            val (a, b) = (r.mem(2 * i), r.mem(2 * i + 1))
+            (math.min(a, b).toLong, math.max(a, b).toLong)
           }
-        }
-        Iterator.single((missing, if (pairs == null) null else pairs.result()))
-      }.collect()
-      finally bc.destroy()
-    val missing = out.foldLeft(Long.MaxValue)((m, p) => math.min(m, p._1))
-    if (missing != Long.MaxValue) throw danglingEndpoint(missing)
-    if (out.exists(_._2 == null)) null else Array.concat(out.map(_._2): _*)
+        }.toDF("src", "dst")
+        // The members listed are state indices already: the identity ids
+        // load them.
+        listed.load(SparkCliques.cliques(canonical, k).queryExecution.toRdd, Array.tabulate(n)(_.toLong),
+          Array.emptyLongArray, Array.range(0, k), weightAt = -1)
+      } finally kept.release()
+      peel(v, k, cfg, new ClusterState(new Array[Double](n), listed, loaded))
+    }
   }
 
   private def peel(v: Vertices, k: Int, cfg: Config, state: PeelState): Result = {
@@ -270,10 +222,13 @@ object SparkPeeling {
 
   /** What one partition's pass reports: the rows it counted took `sum(i)`
     * from vertex `idx(i)` (ascending) and `total` in all; `kept` rows stay
-    * in the table; `error` describes the partition's first bad input row.
+    * in the table. A first pass also reports the smallest endpoint that is
+    * neither a vertex nor benign (`missing`, `Long.MaxValue` if none) and
+    * describes its first null endpoint or kept row that breaks Property 3.1
+    * (`error`).
     */
   private final class Delta(val idx: Array[Int], val sum: Array[Double], val total: Double,
-                            val kept: Int, val error: String) extends Serializable
+                            val kept: Int, val missing: Long, val error: String) extends Serializable
 
   /** A per-vertex accumulator over `n` vertices; `result` hands out one
     * block's sums and clears them, so one accumulator serves many blocks.
@@ -289,10 +244,10 @@ object SparkPeeling {
       acc(u) += a
     }
 
-    def result(kept: Int, error: String = null): Delta = {
+    def result(kept: Int, missing: Long = Long.MaxValue, error: String = null): Delta = {
       val ix = idx.result()
       java.util.Arrays.sort(ix)
-      val d = new Delta(ix, ix.map(acc), total, kept, error)
+      val d = new Delta(ix, ix.map(acc), total, kept, missing, error)
       ix.foreach { u => acc(u) = 0.0; seen(u) = false }
       idx.clear()
       total = 0.0
@@ -300,37 +255,56 @@ object SparkPeeling {
     }
   }
 
-  /** The initial pass over one partition of input rows (`arity` id columns,
-    * then the weight if `weighted`): maps ids to state indices and counts
-    * every row.
+  /** The first pass over one partition of input rows, the only place an
+    * input id becomes a state index: the ids of a row are at the positions
+    * `at`, its weight at `weightAt` (1 for every row if negative). Rows are
+    * read as `InternalRow`s, so no `Row` object is made per input row.
+    * Every row is read, and the smallest id that is neither one of the
+    * ascending `ids` nor of the ascending `benign` ones is reported. A row
+    * with such an id, a null, a benign or a repeated one (a self-loop) is
+    * dropped; the rest are counted and kept while their weights are valid.
     */
-  private def load(ids: Array[Long], arity: Int, weighted: Boolean)(it: Iterator[Row]): (Rows, Delta) = {
+  private def load(ids: Array[Long], benign: Array[Long], at: Array[Int], weightAt: Int)(
+      it: Iterator[InternalRow]): (Rows, Delta) = {
+    val arity = at.length
     val sums = new Sums(ids.length)
     val mem = new mutable.ArrayBuilder.ofInt
     val wt = new mutable.ArrayBuilder.ofDouble
     val row = new Array[Int](arity)
+    var missing = Long.MaxValue
     var error: String = null
     var count = 0
-    while (error == null && it.hasNext) {
+    while (it.hasNext) {
       val r = it.next()
+      var keep = true
       var j = 0
-      while (error == null && j < arity) {
-        row(j) = java.util.Arrays.binarySearch(ids, r.getLong(j))
-        if (row(j) < 0) error = s"edge endpoint ${r.getLong(j)} is not a row of vertices"
+      while (j < arity) {
+        val id = r.getLong(at(j))
+        // An InternalRow reads a null id as 0.
+        row(j) = if (r.isNullAt(at(j))) -1 else java.util.Arrays.binarySearch(ids, id)
+        if (row(j) < 0) {
+          keep = false
+          if (r.isNullAt(at(j))) { if (error == null) error = "edge endpoint null is not a row of vertices" }
+          else if (java.util.Arrays.binarySearch(benign, id) < 0) missing = math.min(missing, id)
+        }
         j += 1
       }
-      val w = if (!weighted) 1.0 else if (r.isNullAt(arity)) Double.NaN else r.getDouble(arity)
-      if (error == null && !(w >= 0 && w < Double.PositiveInfinity))
-        error = s"edge (${r.getLong(0)}, ${r.getLong(1)}) has suspiciousness $w; " +
-          "Property 3.1 needs it finite and non-negative"
-      if (error == null) {
-        row.foreach { u => mem += u; sums.add(u, w) }
-        if (weighted) wt += w
-        sums.total += w
-        count += 1
+      // Members are distinct unless the row is a self-loop.
+      if (keep && error == null && row(0) != row(1)) {
+        val w = if (weightAt < 0) 1.0 else if (r.isNullAt(weightAt)) Double.NaN else r.getDouble(weightAt)
+        if (!(w >= 0 && w < Double.PositiveInfinity))
+          error = s"edge (${r.getLong(at(0))}, ${r.getLong(at(1))}) has suspiciousness $w; " +
+            "Property 3.1 needs it finite and non-negative"
+        else {
+          row.foreach { u => mem += u; sums.add(u, w) }
+          if (weightAt >= 0) wt += w
+          sums.total += w
+          count += 1
+        }
       }
     }
-    (new Rows(arity, mem.result(), if (weighted) wt.result() else null), sums.result(count, error))
+    val rows = new Rows(arity, mem.result(), if (weightAt >= 0) wt.result() else null)
+    (rows, sums.result(count, missing, error))
   }
 
   /** A removal pass over one block: drops every row that holds a
@@ -365,74 +339,60 @@ object SparkPeeling {
     (rest, sums.result(kept))
   }
 
-  /** Dupin's peeling state with the vertices on the driver and the rows
-    * (edges or cliques) of `input` on the cluster, or on the driver once
-    * they fit the budget.
+  /** The rows (edges or cliques) of a peel over `n` vertices, `arity` state
+    * indices each: `localCheckpoint`ed on the cluster, or on the driver,
+    * one block per partition, once they fit the budget.
     */
-  private final class ClusterState(sc: SparkContext, ids: Array[Long], vw: Array[Double],
-                                   arity: Int, weighted: Boolean, input: => RDD[Row])
-      extends PeelState {
-    val n: Int = ids.length
-    private val act = Array.fill(n)(true)
-    private var cnt = n
-    private val wArr = vw.clone()
-    private var fVal = vw.sum
+  private final class Table(sc: SparkContext, n: Int, arity: Int) {
     private val budget = driverBudget.value
-    /** The checkpointed table, and the broadcast of the pass that produced
-      * it (its closure holds it until the table is dropped).
+    /** The checkpointed rows, and the broadcast of the pass that produced
+      * them (its closure holds it until the rows are dropped).
       */
-    private var table: RDD[(Rows, Delta)] = _
-    private var tableArg: Broadcast[_] = _
-    /** The table on the driver, one block per partition, once it fits. */
-    private var blocks: Array[Rows] = _
-    private var rowsLeft = 0L
+    private var cluster: RDD[(Rows, Delta)] = _
+    private var clusterArg: Broadcast[_] = _
+    /** The rows on the driver, one block per partition, once they fit. */
+    var blocks: Array[Rows] = _
+    var rowsLeft = 0L
 
-    // With no vertex there is nothing to peel (and no row can be valid).
-    if (n > 0) {
-      val (a, wtd) = (arity, weighted)
-      val deltas = pass(input, ids)((is, it) => load(is, a, wtd)(it))
-      deltas.find(_.error != null).foreach { d => release(); throw new IllegalArgumentException(d.error) }
-      merge(deltas, 1.0)
+    /** The cluster-side rows (while `blocks` is null). */
+    def rows: RDD[Rows] = cluster.map(_._1)
+
+    /** The first pass: [[load]] over every partition of `input`. Throws,
+      * with the rows dropped, if an endpoint is neither a vertex nor benign,
+      * naming the smallest over all partitions; otherwise if an endpoint is
+      * null or a kept row breaks Property 3.1, naming the first such row in
+      * partition order.
+      */
+    def load(input: RDD[InternalRow], ids: Array[Long], benign: Array[Long], at: Array[Int],
+             weightAt: Int): Array[Delta] = {
+      val deltas = pass(input, (ids, benign))((a, it) => SparkPeeling.load(a._1, a._2, at, weightAt)(it))
+      val missing = deltas.foldLeft(Long.MaxValue)((m, d) => math.min(m, d.missing))
+      val error =
+        if (missing != Long.MaxValue) s"edge endpoint $missing is not a row of vertices"
+        else deltas.map(_.error).find(_ != null).orNull
+      if (error != null) { release(); throw new IllegalArgumentException(error) }
+      deltas
     }
 
-    def activeCount: Int = cnt
-    def isActive(u: Int): Boolean = act(u)
-    def f: Double = fVal
-    def w(u: Int): Double = wArr(u)
-
-    def removeBatch(us: Array[Int], threads: Int): Unit = {
-      us.foreach { u =>
-        require(act(u), s"removeBatch($u): not active")
-        act(u) = false; wArr(u) = 0.0; fVal -= vw(u)
+    /** A peel: drops the rows that hold a `peeled` vertex, on the driver once
+      * the rows left fit the budget, and returns the deltas in partition order.
+      */
+    def remove(peeled: java.util.BitSet): Array[Delta] = {
+      if (blocks == null && rowsLeft * arity <= budget) {
+        blocks = rows.collect()
+        unpersist()
       }
-      cnt -= us.length
-      if (cnt == 0) { fVal = 0.0; release() }
-      else if (rowsLeft > 0) {
-        val peeled = new java.util.BitSet(n)
-        us.foreach(peeled.set)
-        if (blocks == null && rowsLeft * arity <= budget) {
-          blocks = table.map(_._1).collect()
-          unpersist()
-        }
-        if (blocks != null) {
-          val sums = new Sums(n)
-          val out = blocks.map(drop(sums, peeled))
-          blocks = out.map(_._1)
-          val deltas = out.map(_._2)
-          rowsLeft = deltas.map(_.kept.toLong).sum
-          merge(deltas, -1.0)
-        } else {
-          val nn = n
-          merge(pass(table, peeled)((p, it) => drop(new Sums(nn), p)(it.next()._1)), -1.0)
-        }
+      if (blocks != null) {
+        val sums = new Sums(n)
+        val out = blocks.map(drop(sums, peeled))
+        blocks = out.map(_._1)
+        val deltas = out.map(_._2)
+        rowsLeft = deltas.map(_.kept.toLong).sum
+        deltas
+      } else {
+        val nn = n
+        pass(cluster, peeled)((p, it) => drop(new Sums(nn), p)(it.next()._1))
       }
-    }
-
-    /** Add (`sign` 1) or subtract (-1) the deltas, in partition order. */
-    private def merge(deltas: Array[Delta], sign: Double): Unit = deltas.foreach { d =>
-      var i = 0
-      while (i < d.idx.length) { wArr(d.idx(i)) += sign * d.sum(i); i += 1 }
-      fVal += sign * d.total
     }
 
     /** One job: `step` runs on every partition of `src` with `arg` as a
@@ -451,8 +411,8 @@ object SparkPeeling {
       val share = budget / math.max(1, src.getNumPartitions)
       val out = next.map { case (rows, d) => (if (rows.mem.length <= share) rows else null, d) }.collect()
       unpersist()
-      table = next
-      tableArg = bc
+      cluster = next
+      clusterArg = bc
       val deltas = out.map(_._2)
       rowsLeft = deltas.map(_.kept.toLong).sum
       if (rowsLeft * arity <= budget && out.forall(_._1 != null)) {
@@ -462,14 +422,55 @@ object SparkPeeling {
       deltas
     }
 
-    /** Drop the table, wherever it is. */
-    override def release(): Unit = { unpersist(); blocks = null; rowsLeft = 0 }
+    /** Drop the rows, wherever they are. */
+    def release(): Unit = { unpersist(); blocks = null; rowsLeft = 0 }
 
-    /** Drop the cluster-side table. */
-    private def unpersist(): Unit = if (table != null) {
-      table.unpersist(blocking = false)
-      tableArg.destroy()
-      table = null
+    /** Drop the cluster-side rows. */
+    private def unpersist(): Unit = if (cluster != null) {
+      cluster.unpersist(blocking = false)
+      clusterArg.destroy()
+      cluster = null
     }
+  }
+
+  /** Dupin's peeling state with the vertices (weights `vw`) on the driver
+    * and the rows in `table`, whose first pass gave the deltas `loaded`.
+    */
+  private final class ClusterState(vw: Array[Double], table: Table, loaded: Array[Delta])
+      extends PeelState {
+    val n: Int = vw.length
+    private val act = Array.fill(n)(true)
+    private var cnt = n
+    private val wArr = vw.clone()
+    private var fVal = vw.sum
+    merge(loaded, 1.0)
+
+    def activeCount: Int = cnt
+    def isActive(u: Int): Boolean = act(u)
+    def f: Double = fVal
+    def w(u: Int): Double = wArr(u)
+
+    def removeBatch(us: Array[Int], threads: Int): Unit = {
+      us.foreach { u =>
+        require(act(u), s"removeBatch($u): not active")
+        act(u) = false; wArr(u) = 0.0; fVal -= vw(u)
+      }
+      cnt -= us.length
+      if (cnt == 0) { fVal = 0.0; release() }
+      else if (table.rowsLeft > 0) {
+        val peeled = new java.util.BitSet(n)
+        us.foreach(peeled.set)
+        merge(table.remove(peeled), -1.0)
+      }
+    }
+
+    /** Add (`sign` 1) or subtract (-1) the deltas, in partition order. */
+    private def merge(deltas: Array[Delta], sign: Double): Unit = deltas.foreach { d =>
+      var i = 0
+      while (i < d.idx.length) { wArr(d.idx(i)) += sign * d.sum(i); i += 1 }
+      fVal += sign * d.total
+    }
+
+    override def release(): Unit = table.release()
   }
 }

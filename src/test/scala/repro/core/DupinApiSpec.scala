@@ -95,13 +95,16 @@ class DupinApiSpec extends SparkSpec {
   }
 
   // A triangle {1,2,3} whose vertex frame lacks the far ends 7, 8, 9 of
-  // three more edges; the error names the smallest.
+  // three more edges; the error names the smallest. The same triangle with
+  // a self-loop on 0, which is no vertex either, names 0.
   private def rejectsDangling(dupin: Dupin): Unit = {
     val vertices = Seq(1L, 2L, 3L).map(id => (id, 0.0)).toDF("id", "prior")
-    val edges = Seq((1L, 2L), (2L, 3L), (1L, 3L), (1L, 7L), (2L, 8L), (3L, 9L))
-      .map { case (a, b) => (a, b, 1.0) }.toDF("src", "dst", "amount")
-    val err = intercept[IllegalArgumentException](dupin.LoadGraph(vertices, edges).ParDetect())
-    assert(err.getMessage.contains("endpoint 7 "), err.getMessage)
+    val triangle = Seq((1L, 2L), (2L, 3L), (1L, 3L))
+    for ((extra, id) <- Seq(Seq((1L, 7L), (2L, 8L), (3L, 9L)) -> 7, Seq((0L, 0L)) -> 0)) {
+      val edges = (triangle ++ extra).map { case (a, b) => (a, b, 1.0) }.toDF("src", "dst", "amount")
+      val err = intercept[IllegalArgumentException](dupin.LoadGraph(vertices, edges).ParDetect())
+      assert(err.getMessage.contains(s"endpoint $id "), err.getMessage)
+    }
   }
 
   test("ParDetect rejects an edge whose endpoint is not a vertex (edge metric)") {
@@ -112,18 +115,49 @@ class DupinApiSpec extends SparkSpec {
     rejectsDangling(new Dupin(spark).setK(3))
   }
 
-  test("ParDetect rejects a dangling edge whose other end is benign (setK(3), both clique paths)") {
-    // Vertex 4 is benign, so the edge between 9 and 4 (either way round)
-    // would leave with the benign filter, but 9 is no vertex; it is also
-    // smaller than the far end 12 of the edge (2, 12). The driver path and
-    // the distributed one (budget 0) both check the endpoints before the
-    // benign filter.
+  // Vertex 4 is benign, so the edge between 9 and 4 (either way round)
+  // would leave with the benign filter, but 9 is no vertex; it is also
+  // smaller than the far end 12 of the edge (2, 12). The driver path and
+  // the distributed one (budget 0) both check the endpoints before the
+  // benign filter.
+  private def rejectsBenignDangling(dupin: => Dupin): Unit = {
     val vertices = Seq(1L, 2L, 3L, 4L).map(id => (id, id == 4L)).toDF("id", "fraudFree")
     for (bad <- Seq((9L, 4L), (4L, 9L)); budget <- Seq(SparkPeeling.DriverBudget, 0L)) {
       val edges = Seq((1L, 2L), (2L, 3L), (1L, 3L), (3L, 4L), bad, (2L, 12L)).toDF("src", "dst")
       val err = SparkPeeling.driverBudget.withValue(budget)(intercept[IllegalArgumentException](
-        new Dupin(spark).setK(3).isBenign(col("fraudFree")).LoadGraph(vertices, edges).ParDetect()))
+        dupin.isBenign(col("fraudFree")).LoadGraph(vertices, edges).ParDetect()))
       assert(err.getMessage.contains("edge endpoint 9 "), s"edge $bad, budget $budget: ${err.getMessage}")
+    }
+  }
+
+  test("ParDetect rejects a dangling edge whose other end is benign (setK(3), both clique paths)") {
+    rejectsBenignDangling(new Dupin(spark).setK(3))
+  }
+
+  test("ParDetect rejects a dangling edge whose other end is benign (edge metric, both budgets)") {
+    rejectsBenignDangling(new Dupin(spark))
+  }
+
+  test("ParDetect rejects a null edge endpoint (edge metric and setK(3))") {
+    // 0 is a vertex, so a null read as 0 would pass as the edge (0, 3).
+    val vertices = Seq(0L, 1L, 2L, 3L).map(id => (id, 0.0)).toDF("id", "prior")
+    for (bad <- Seq((None, Some(3L)), (Some(3L), None));
+         dupin <- Seq(new Dupin(spark), new Dupin(spark).setK(3))) {
+      val edges = (Seq((Some(1L), Some(2L)), (Some(2L), Some(3L))) :+ bad).toDF("src", "dst")
+      val err = intercept[IllegalArgumentException](dupin.LoadGraph(vertices, edges).ParDetect())
+      assert(err.getMessage.contains("edge endpoint null "), s"edge $bad: ${err.getMessage}")
+    }
+  }
+
+  test("ParDetect names a dangling endpoint before a bad ESusp") {
+    // Edge (2, 3) has a NaN ESusp and edge (3, 9) an end that is no vertex.
+    val vertices = Seq(1L, 2L, 3L).map(id => (id, 0.0)).toDF("id", "prior")
+    val edges = Seq((1L, 2L), (2L, 3L), (1L, 3L), (3L, 9L)).toDF("src", "dst")
+    val nan = when(col("src") === 2L && col("dst") === 3L, lit(Double.NaN)).otherwise(lit(1.0))
+    for (budget <- Seq(SparkPeeling.DriverBudget, 0L)) {
+      val err = SparkPeeling.driverBudget.withValue(budget)(intercept[IllegalArgumentException](
+        new Dupin(spark).ESusp(nan).LoadGraph(vertices, edges).ParDetect()))
+      assert(err.getMessage.contains("edge endpoint 9 "), s"budget $budget: ${err.getMessage}")
     }
   }
 
@@ -146,22 +180,42 @@ class DupinApiSpec extends SparkSpec {
       (rnd.shuffle(id.toSeq.map(x => (x, rnd.nextInt(5) == 0))), rnd.shuffle(edges))
     }
 
+  private def view(r: SparkPeeling.Result) =
+    (r.bestSet.toSeq, r.bestDensity, r.rounds, r.longTailPeels, r.sparseTrims, r.history, r.truncated)
+
+  /** `view` of `dupin`'s detection on the random raw graph, at budget 0
+    * (every peel on the cluster) and at the default (on the driver).
+    */
+  private def bothBudgets(dupin: => Dupin, vs: Seq[(Long, Boolean)], es: Seq[(Long, Long)]) = {
+    val (vertices, edges) = (vs.toDF("id", "fraudFree"), es.toDF("src", "dst"))
+    Seq(0L, SparkPeeling.DriverBudget).map { b =>
+      SparkPeeling.driverBudget.withValue(b) {
+        val d = dupin.isBenign(col("fraudFree"))
+        d.LoadGraph(vertices, edges).ParDetect()
+        view(d.lastResult)
+      }
+    }
+  }
+
   test("property: clique detection on the driver equals the distributed path") {
-    def view(r: SparkPeeling.Result) =
-      (r.bestSet.toSeq, r.bestDensity, r.rounds, r.longTailPeels, r.sparseTrims, r.history, r.truncated)
     forAll(genRawGraph, n = 5) { case (vs, es) =>
-      val (vertices, edges) = (vs.toDF("id", "fraudFree"), es.toDF("src", "dst"))
       for (k <- Seq(3, 4); (gpo, lpo) <- Seq((false, false), (true, true))) {
         // Budget 0 lists the cliques on the cluster; the default collects
         // the edges and peels them on the driver.
-        val Seq(cluster, driver) = Seq(0L, SparkPeeling.DriverBudget).map { b =>
-          SparkPeeling.driverBudget.withValue(b) {
-            val dupin = new Dupin(spark).setK(k).setPruning(gpo, lpo).isBenign(col("fraudFree"))
-            dupin.LoadGraph(vertices, edges).ParDetect()
-            view(dupin.lastResult)
-          }
-        }
+        val Seq(cluster, driver) = bothBudgets(new Dupin(spark).setK(k).setPruning(gpo, lpo), vs, es)
         assert(driver == cluster, s"k=$k gpo=$gpo lpo=$lpo")
+      }
+    }
+  }
+
+  test("property: edge detection on the driver equals the distributed path") {
+    // An ESusp that differs per edge and per orientation, so the sums depend
+    // on the order they are added in.
+    val esusp = lit(0.1) + pmod(col("src") * 7 + col("dst") * 13, lit(10L)) / 7.0
+    forAll(genRawGraph, n = 5) { case (vs, es) =>
+      for ((gpo, lpo) <- Seq((false, false), (true, true))) {
+        val Seq(cluster, driver) = bothBudgets(new Dupin(spark).ESusp(esusp).setPruning(gpo, lpo), vs, es)
+        assert(driver == cluster, s"gpo=$gpo lpo=$lpo")
       }
     }
   }

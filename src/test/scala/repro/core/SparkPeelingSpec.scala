@@ -154,6 +154,18 @@ class SparkPeelingSpec extends SparkSpec {
     assert(!full.truncated)
   }
 
+  test("run names the smallest dangling endpoint over all partitions") {
+    // One edge a partition: the far end 9 of (3, 9) comes in an earlier
+    // partition than the far end 7 of (1, 7).
+    val vertices = Seq(1L, 2L, 3L).map(id => (id, 0.0)).toDF("id", "vw")
+    val edges = Seq((1L, 2L), (2L, 3L), (3L, 9L), (1L, 7L)).map { case (a, b) => (a, b, 1.0) }
+    val g = SparkGraph(vertices, spark.sparkContext.parallelize(edges, edges.size).toDF("src", "dst", "w"))
+    for (m <- Seq(DW, TDS)) {
+      val err = intercept[IllegalArgumentException](SparkPeeling.run(spark, g, m))
+      assert(err.getMessage.contains("edge endpoint 7 "), s"${m.name}: ${err.getMessage}")
+    }
+  }
+
   /** Spark jobs `run` starts, and its result. */
   private def countJobs(run: => SparkPeeling.Result): (Int, SparkPeeling.Result) = {
     val sc = spark.sparkContext
@@ -212,13 +224,13 @@ class SparkPeelingSpec extends SparkSpec {
   }
 
   test("TDS and kCLiDS-4 under GPO+LPO at budget 0 stay within a Spark-job budget per snapshot") {
-    // With no driver budget every peel runs on the cluster: the pass that
-    // checks the edges, the listing's shuffle stages (two for triangles,
-    // three for 4-cliques), the initial pass over the clique table and one
-    // pass per peel that leaves S non-empty: 5 jobs for TDS, 6 for
-    // kCLiDS-4. Before `runClique` checked the edges itself, `run` took 4
-    // and 5 here; `Dupin.ParDetect` ran that check as a job of its own, so
-    // its count is unchanged.
+    // With no driver budget every peel runs on the cluster: the first pass,
+    // which checks the edges and keeps them on the cluster as state index
+    // pairs, the listing's shuffle stages over those pairs (two for
+    // triangles, three for 4-cliques), the initial pass over the clique
+    // table and one pass per peel that leaves S non-empty: 5 jobs for TDS,
+    // 6 for kCLiDS-4, as when the listing read the raw edges. Before
+    // `runClique` checked the edges itself, `run` took 4 and 5 here.
     for ((m, limit) <- Seq(TDS -> 5, KCliDS(4) -> 6)) {
       val (jobs, res) = SparkPeeling.driverBudget.withValue(0L) {
         countJobs(SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(8, 30)), m, sparkCfg(0.1, true, true)))
@@ -238,6 +250,19 @@ class SparkPeelingSpec extends SparkSpec {
     val (jobs, res) = countJobs(SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(8, 30)), DW,
       sparkCfg(0.1, true, true)))
     assert(jobs <= 1, s"$jobs jobs")
+    val perSnapshot = jobs.toDouble / res.history.size
+    assert(perSnapshot < 5.0, s"$jobs jobs over ${res.history.size} snapshots")
+  }
+
+  test("edge ParDetect under GPO+LPO stays within a Spark-job budget per snapshot") {
+    // 2 jobs over 3 snapshots: the shuffle that sums repeated edges and the
+    // first pass, which checks the endpoints and brings the edges to the
+    // driver, where both peels run. With the endpoints checked by a `fold`
+    // job of their own before that pass, 3.
+    val g = sg(TestGraphs.cliqueWithTail(8, 30))
+    val dupin = new Dupin(spark).ESusp(col("w")).LoadGraph(g.vertices, g.edges)
+    val (jobs, res) = countJobs { dupin.ParDetect(); dupin.lastResult }
+    assert(jobs <= 2, s"$jobs jobs")
     val perSnapshot = jobs.toDouble / res.history.size
     assert(perSnapshot < 5.0, s"$jobs jobs over ${res.history.size} snapshots")
   }
