@@ -70,11 +70,7 @@ final class Dupin(spark: SparkSession) {
     */
   def ParDetect(): Array[Long] = {
     val (vRaw, eRaw) = loaded.getOrElse(throw new IllegalStateException("LoadGraph first"))
-    val rows = vRaw.select(col("id").cast("long"), vsusp.cast("double"),
-        benign.getOrElse(lit(false)))
-      .collect().map { r =>
-        (r.getLong(0), if (r.isNullAt(1)) Double.NaN else r.getDouble(1), !r.isNullAt(2) && r.getBoolean(2))
-      }
+    val rows = SparkPeeling.Vertices.read(vRaw, vsusp, benign.getOrElse(lit(false)))
     SparkPeeling.requireUnique(rows.map(_._1).sorted)
     val v = SparkPeeling.Vertices(rows.collect { case (id, vw, false) => (id, vw) })
     // Benign vertices are peeled "within the current iteration", i.e.
@@ -83,14 +79,7 @@ final class Dupin(spark: SparkSession) {
     val cfg = SparkPeeling.Config(eps = eps, gpo = gpo, lpo = lpo)
     val res =
       if (cliqueK >= 3) SparkPeeling.runClique(spark, v, eRaw, cliqueK, cfg, benignIds)
-      else {
-        // Ends in ascending order; a null one (which `least` would skip)
-        // sorts first and reaches the engine's check.
-        val ends = sort_array(array(col("src").cast("long"), col("dst").cast("long")))
-        val e0 = eRaw.select(ends(0).as("src"), ends(1).as("dst"), esusp.cast("double").as("w"))
-          .groupBy("src", "dst").agg(sum("w").as("w"))
-        SparkPeeling.runEdge(spark, v, e0, cfg, benignIds)
-      }
+      else SparkPeeling.runEdge(spark, v, SparkGraph.canonical(eRaw, esusp), cfg, benignIds)
     last = Some(res)
     res.bestSet
   }

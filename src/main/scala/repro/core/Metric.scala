@@ -35,19 +35,10 @@ object Metric {
   /** Fraudar's `c` in `c_ij = 1/log(x + c)` (Listing 1 uses 5). */
   val FraudarC = 5.0
 
-  /** The five metrics of §2.1, in the paper's order. */
-  val all: Seq[Metric] = Seq(DG, DW, FD, TDS, KCliDS(4))
   val edgeMetrics: Seq[Metric] = Seq(DG, DW, FD)
   val cliqueMetrics: Seq[Metric] = Seq(TDS, KCliDS(4))
-
-  def byName(s: String): Metric = s match {
-    case "DG" => DG
-    case "DW" => DW
-    case "FD" => FD
-    case "TDS" => TDS
-    case kc if kc.startsWith("kCLiDS") => KCliDS(kc.stripPrefix("kCLiDS-").toIntOption.getOrElse(4))
-    case _ => throw new IllegalArgumentException(s"unknown metric $s")
-  }
+  /** The five metrics of §2.1, in the paper's order. */
+  val all: Seq[Metric] = edgeMetrics ++ cliqueMetrics
 }
 
 /** DG [Charikar'00]: f(S) = |E[S]| — every edge weighs 1, vertices 0. */

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.data.Dataset
 import repro.local.LocalGraph
@@ -33,20 +33,28 @@ final case class SparkGraph(vertices: DataFrame, edges: DataFrame) {
 
 object SparkGraph {
 
+  /** One row per unordered pair of raw `src`, `dst` rows: the ends as
+    * `Long`s in ascending order and `w` summed over the pair's rows. A null
+    * end (which `least` would skip) sorts first and stays, so the engine's
+    * endpoint check names it.
+    */
+  def canonical(rawEdges: DataFrame, w: Column): DataFrame = {
+    val ends = sort_array(array(col("src").cast("long"), col("dst").cast("long")))
+    rawEdges.select(ends(0).as("src"), ends(1).as("dst"), w.cast("double").as("w"))
+      .groupBy("src", "dst").agg(sum("w").as("w"))
+  }
+
   /** Canonicalize raw (possibly directed / duplicated / self-looped) edges
     * and build the graph; vertices are the union of endpoints plus any in
-    * `rawVertices`, with vw defaulting to 0.
+    * `rawVertices`, with vw defaulting to 0. A self-loop is dropped; an
+    * edge with a null end is kept (no vertex has a null id).
     */
   def apply(spark: SparkSession, rawEdges: DataFrame,
             rawVertices: Option[DataFrame] = None): SparkGraph = {
-    val e = rawEdges
-      .select(col("src").cast("long"), col("dst").cast("long"),
-              coalesce(col("w"), lit(1.0)).cast("double").as("w"))
-      .where(col("src") =!= col("dst"))
-      .select(least(col("src"), col("dst")).as("src"),
-              greatest(col("src"), col("dst")).as("dst"), col("w"))
-      .groupBy("src", "dst").agg(sum("w").as("w"))
-    val endpointIds = e.select(col("src").as("id")).union(e.select(col("dst").as("id"))).distinct()
+    val e = canonical(rawEdges, coalesce(col("w"), lit(1.0)))
+      .where(col("src").isNull || col("src") =!= col("dst"))
+    val endpointIds = e.select(col("src").as("id")).union(e.select(col("dst").as("id")))
+      .where(col("id").isNotNull).distinct()
     val v = rawVertices match {
       case Some(vs) =>
         val base = vs.select(col("id").cast("long"),

@@ -98,9 +98,17 @@ object SparkPeeling {
     }
 
     /** `df`'s `id` and `vw` columns, collected by one job. */
-    def collect(df: DataFrame): Vertices =
-      apply(df.select(col("id").cast("long"), col("vw").cast("double")).collect()
-        .map(r => (r.getLong(0), if (r.isNullAt(1)) Double.NaN else r.getDouble(1))))
+    def collect(df: DataFrame): Vertices = apply(read(df, col("vw")).map(r => (r._1, r._2)))
+
+    /** Each row's `id` as a `Long`, `vw` as a `Double` (a null reads as
+      * NaN, which [[apply]] rejects) and `flag` (a null reads as false),
+      * collected by one job. Throws on a null id.
+      */
+    def read(df: DataFrame, vw: Column, flag: Column = lit(false)): Array[(Long, Double, Boolean)] =
+      df.select(col("id").cast("long"), vw.cast("double"), flag).collect().map { r =>
+        require(!r.isNullAt(0), "vertices has a row with a null id")
+        (r.getLong(0), if (r.isNullAt(1)) Double.NaN else r.getDouble(1), !r.isNullAt(2) && r.getBoolean(2))
+      }
   }
 
   /** Throws if the ascending `ids` hold an id twice, naming the smallest. */
@@ -132,8 +140,10 @@ object SparkPeeling {
     val deg = edges.select(col("src").as("id")).union(edges.select(col("dst").as("id")))
       .groupBy("id").agg(count(lit(1)).as("deg"))
     edges
-      .join(deg.select(col("id").as("src"), col("deg").as("ds")), "src")
-      .join(deg.select(col("id").as("dst"), col("deg").as("dd")), "dst")
+      // Left joins: an edge with a null end has no degree row, and stays
+      // for the engine's endpoint check to name.
+      .join(deg.select(col("id").as("src"), col("deg").as("ds")), Seq("src"), "left")
+      .join(deg.select(col("id").as("dst"), col("deg").as("dd")), Seq("dst"), "left")
       .select(col("src"), col("dst"),
         (lit(1.0) / log(greatest(col("ds"), col("dd")) + lit(Metric.FraudarC))).as("w"))
   }

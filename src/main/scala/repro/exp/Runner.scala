@@ -1,7 +1,6 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.baselines._
 import repro.core._
 import repro.data.Dataset
 import repro.local._
@@ -31,83 +30,45 @@ object Runner {
   case object Tle extends Outcome { def timeCell = "TLE"; def densityCell = "TLE" }
 
   /** Methods applicable to the edge metrics (Table 5/7 row order). */
-  val edgeMethods: Seq[String] = Seq("Spade", "GBBS", "PKMC", "FWA", "ALENEX", "Dupin")
+  val edgeMethods: Seq[String] = Method.supporting(Metric.edgeMetrics)
   /** Methods applicable to the clique metrics (Table 6/8 row order). */
-  val cliqueMethods: Seq[String] = Seq("Spade", "kCLIST", "PBBS", "Dupin")
+  val cliqueMethods: Seq[String] = Method.supporting(Metric.cliqueMetrics)
 
-  /** Run `method` × `metric` on `d`; wall-clock includes any metric
-    * preparation the method performs itself (as in the paper, except GBBS
-    * whose weighted inputs the paper precomputes offline — we do too, via
-    * `metric.localState`, whose construction is shared by all methods).
+  /** Run the registry's `method` × `metric` on `d` with `t` threads; a run
+    * past `timeout` seconds is a TLE.
     */
   def run(method: String, metric: Metric, d: Dataset,
-          t: Int = threads, timeout: Double = timeoutSec): Outcome = {
-    val deadline = Deadline.in(timeout)
-    try {
-      val t0 = System.nanoTime()
-      val (density, rounds) = method match {
-        case "Dupin" =>
-          val r = DupinLocal.run(metric, d.graph,
-            DupinLocal.Config(eps = 0.1, threads = t, deadline = deadline))
-          (r.bestDensity, r.rounds)
-        case "DupinGPO" =>
-          val r = DupinLocal.run(metric, d.graph,
-            DupinLocal.Config(eps = 0.1, gpo = true, threads = t, deadline = deadline))
-          (r.bestDensity, r.rounds)
-        case "DupinLPO" =>
-          val r = DupinLocal.run(metric, d.graph,
-            DupinLocal.Config(eps = 0.1, gpo = true, lpo = true, threads = t, deadline = deadline))
-          (r.bestDensity, r.rounds)
-        case "GBBS" | "PBBS" =>
-          val r = BucketPeeling.run(metric, d.graph, threads = t, deadline = deadline)
-          (r.bestDensity, r.rounds)
-        case "PKMC" =>
-          val r = Pkmc.run(metric, d.graph, deadline)
-          (r.bestDensity, r.rounds)
-        case "FWA" =>
-          val r = Fwa.run(metric, d.graph, deadline = deadline)
-          (r.bestDensity, r.rounds)
-        case "ALENEX" =>
-          val r = Alenex.run(metric, d.graph, threads = t, deadline = deadline)
-          (r.bestDensity, r.rounds)
-        case "kCLIST" =>
-          val r = Kclist.run(metric, d.graph, deadline, threads = t)
-          (r.bestDensity, r.rounds)
-        case "Spade" =>
-          return spadeAvgBatch(metric, d, timeout)
-        case other => throw new IllegalArgumentException(s"unknown method $other")
-      }
-      Ok((System.nanoTime() - t0) / 1e9, density, rounds)
-    } catch {
-      case _: TleException => Tle
-    }
+          t: Int = threads, timeout: Double = timeoutSec): Outcome =
+    try Method(method).run(metric, d, t, Deadline.in(timeout))
+    catch { case _: TleException => Tle }
+
+  /** Wall-clock one peeling call. */
+  def timed(peel: => PeelResult): Ok = {
+    val t0 = System.nanoTime()
+    val r = peel
+    Ok((System.nanoTime() - t0) / 1e9, r.bestDensity, r.rounds)
   }
 
   /** Spade's table cell: average per-batch incremental latency (the paper's
     * protocol — batch size 1K, averaged) on the final fraud-forming batches
     * of the dataset's edge stream; density is Spade's maintained result.
     */
-  def spadeAvgBatch(metric: Metric, d: Dataset, timeout: Double,
-                    batches: Int = 3, batchSize: Int = 1000): Outcome = {
-    val deadline = Deadline.in(timeout)
-    try {
-      val sp = new Spade(metric, d.n, d.vertexWeights, deadline)
-      val nb = math.min(batches, math.max(1, d.edges.size / math.max(1, batchSize) - 1))
-      val cut = math.max(0, d.edges.size - nb * batchSize)
-      if (cut > 0) sp.insertBatch(d.edges.take(cut)) // untimed initial build
-      var total = 0L
-      var i = 0
-      while (i < nb) {
-        val batch = d.edges.slice(cut + i * batchSize, cut + (i + 1) * batchSize)
-        val t0 = System.nanoTime()
-        sp.insertBatch(batch)
-        total += System.nanoTime() - t0
-        i += 1
-      }
-      Ok(total / 1e9 / nb, sp.reportedDensity, nb)
-    } catch {
-      case _: TleException => Tle
+  def spadeAvgBatch(metric: Metric, d: Dataset, deadline: Long,
+                    batches: Int = 3, batchSize: Int = 1000): Ok = {
+    val sp = new Spade(metric, d.n, d.vertexWeights, deadline)
+    val nb = math.min(batches, math.max(1, d.edges.size / math.max(1, batchSize) - 1))
+    val cut = math.max(0, d.edges.size - nb * batchSize)
+    if (cut > 0) sp.insertBatch(d.edges.take(cut)) // untimed initial build
+    var total = 0L
+    var i = 0
+    while (i < nb) {
+      val batch = d.edges.slice(cut + i * batchSize, cut + (i + 1) * batchSize)
+      val t0 = System.nanoTime()
+      sp.insertBatch(batch)
+      total += System.nanoTime() - t0
+      i += 1
     }
+    Ok(total / 1e9 / nb, sp.reportedDensity, nb)
   }
 
   /** Supplemental: Dupin's Spark dataflow engine, timed end-to-end. The

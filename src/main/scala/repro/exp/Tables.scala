@@ -12,45 +12,27 @@ import repro.local.DupinLocal
   */
 object Tables {
 
-  val eps = 0.1
-  private val edgeMetricNames = Seq("DG", "DW", "FD")
-  private val cliqueMetricNames = Seq("TDS", "kCLiDS")
-  private def metricOf(name: String): Metric = name match {
-    case "kCLiDS" => KCliDS(4)
-    case other    => Metric.byName(other)
+  /** A metric's name in the tables' headers and keys (kCLiDS runs at k = 4). */
+  private def column(m: Metric): String = m match {
+    case KCliDS(_) => "kCLiDS"
+    case _         => m.name
   }
 
   // ---------------------------------------------------------------- Table 2
   /** Capability matrix of the implemented frameworks — reproduced exactly. */
   def table2(): String = {
-    val rows = Seq(
-      Seq("Spade", "DG, DW, FD, TDS, kCLiDS", "Sequential", "Yes", "No"),
-      Seq("GBBS*", "DG, DW, FD", "Parallel", "No", "No"),
-      Seq("PKMC*", "DG, DW, FD", "Parallel", "No", "No"),
-      Seq("FWA*", "DG, DW, FD", "Parallel", "No", "No"),
-      Seq("ALENEX*", "DG, DW, FD", "Parallel", "No", "No"),
-      Seq("kCLIST", "TDS, kCLiDS", "Parallel", "No", "No"),
-      Seq("PBBS", "TDS, kCLiDS", "Parallel", "No", "No"),
-      Seq("Dupin", "DG, DW, FD, TDS, kCLiDS", "Parallel", "Yes", "Yes"),
-    )
+    def yesNo(b: Boolean) = if (b) "Yes" else "No"
+    val rows = Method.table2.map(m => Seq(m.label, m.metrics.map(column).mkString(", "),
+      if (m.parallel) "Parallel" else "Sequential", yesNo(m.weighted), yesNo(m.pruning)))
     TableIO.emit("table2",
       TableIO.render("Table 2: Comparison of Algorithms Across Key Dimensions",
         Seq("System", "Density Metric Support", "Parallelizability", "Weighted Graph", "Pruning"),
         rows))
   }
 
-  /** Table 2's data, for assertions. */
-  val capabilities: Map[String, (Set[String], Boolean, Boolean, Boolean)] = Map(
-    // name -> (metrics, parallel, weighted, pruning)
-    "Spade" -> (Set("DG", "DW", "FD", "TDS", "kCLiDS"), false, true, false),
-    "GBBS" -> (Set("DG", "DW", "FD"), true, false, false),
-    "PKMC" -> (Set("DG", "DW", "FD"), true, false, false),
-    "FWA" -> (Set("DG", "DW", "FD"), true, false, false),
-    "ALENEX" -> (Set("DG", "DW", "FD"), true, false, false),
-    "kCLIST" -> (Set("TDS", "kCLiDS"), true, false, false),
-    "PBBS" -> (Set("TDS", "kCLiDS"), true, false, false),
-    "Dupin" -> (Set("DG", "DW", "FD", "TDS", "kCLiDS"), true, true, true),
-  )
+  /** Table 2's data, for assertions: name -> (metrics, parallel, weighted, pruning). */
+  val capabilities: Map[String, (Set[String], Boolean, Boolean, Boolean)] =
+    Method.table2.map(m => m.name -> (m.metrics.map(column).toSet, m.parallel, m.weighted, m.pruning)).toMap
 
   // ---------------------------------------------------------------- Table 3
   final case class PruningStats(roundsPlain: Int, roundsGpo: Int, longTail: Long,
@@ -75,12 +57,13 @@ object Tables {
 
   def table3(): (String, Map[String, PruningStats]) = {
     val d = Datasets("la")
-    val stats = edgeMetricNames.map(m => m -> pruningStats(metricOf(m), d)).toMap
+    val names = Metric.edgeMetrics.map(_.name)
+    val stats = Metric.edgeMetrics.map(m => m.name -> pruningStats(m, d)).toMap
     def row(label: String, paperKey: String, cell: PruningStats => String) =
-      label +: edgeMetricNames.flatMap { m =>
+      label +: names.flatMap { m =>
         Seq(PaperNumbers.table3((paperKey, m)), cell(stats(m)))
       }
-    val headers = "Quantity" +: edgeMetricNames.flatMap(m => Seq(s"$m paper", s"$m ours"))
+    val headers = "Quantity" +: names.flatMap(m => Seq(s"$m paper", s"$m ours"))
     val rows = Seq(
       row("Rounds without GPO", "RoundsPlain", s => s.roundsPlain.toString),
       row("Rounds with GPO", "RoundsGPO", s => s.roundsGpo.toString),
@@ -111,42 +94,30 @@ object Tables {
   // ----------------------------------------------------- Tables 5/7 (edge)
   type Sweep = Map[(String, String, String), Runner.Outcome] // (ds, method, metric)
 
-  lazy val edgeSweep: Sweep = {
-    val cells = for {
-      dsName <- Datasets.tableOrder
-      method <- Runner.edgeMethods
-      m <- edgeMetricNames
-    } yield {
-      val out = Runner.run(method, metricOf(m), Datasets(dsName))
-      System.err.println(s"[sweep] $dsName $method $m -> ${out.timeCell}s g=${out.densityCell}")
-      (dsName, method, m) -> out
-    }
-    cells.toMap
-  }
+  /** `methods` × `metrics` on each dataset in table order, the dataset
+    * named `ds` given by `dataset(ds)`.
+    */
+  private def sweep(methods: Seq[String], metrics: Seq[Metric], dataset: String => Dataset): Sweep =
+    (for (ds <- Datasets.tableOrder; method <- methods; m <- metrics) yield {
+      val d = dataset(ds)
+      val out = Runner.run(method, m, d)
+      System.err.println(s"[sweep] ${d.name} $method ${column(m)} -> ${out.timeCell}s g=${out.densityCell}")
+      (ds, method, column(m)) -> out
+    }).toMap
 
-  lazy val cliqueSweep: Sweep = {
-    val cells = for {
-      dsName <- Datasets.tableOrder
-      method <- Runner.cliqueMethods
-      m <- cliqueMetricNames
-    } yield {
-      val d = Datasets.cliqueVariant(dsName)
-      val out = Runner.run(method, metricOf(m), d)
-      System.err.println(s"[sweep] ${d.name} $method $m -> ${out.timeCell}s g=${out.densityCell}")
-      (dsName, method, m) -> out
-    }
-    cells.toMap
-  }
+  lazy val edgeSweep: Sweep = sweep(Runner.edgeMethods, Metric.edgeMetrics, Datasets(_))
+  lazy val cliqueSweep: Sweep = sweep(Runner.cliqueMethods, Metric.cliqueMetrics, Datasets.cliqueVariant)
 
   private def sweepTable(tag: String, title: String, sweep: Sweep, methods: Seq[String],
-                         metrics: Seq[String], paper: Map[(String, String, String), String],
+                         metrics: Seq[Metric], paper: Map[(String, String, String), String],
                          cell: Runner.Outcome => String,
                          extraRows: Seq[Seq[String]] = Nil): String = {
-    val headers = Seq("Dataset", "Method") ++ metrics.flatMap(m => Seq(s"$m paper", s"$m ours"))
+    val names = metrics.map(column)
+    val headers = Seq("Dataset", "Method") ++ names.flatMap(m => Seq(s"$m paper", s"$m ours"))
     val rows = for {
       ds <- Datasets.tableOrder
       method <- methods
-    } yield Seq(ds, method) ++ metrics.flatMap { m =>
+    } yield Seq(ds, method) ++ names.flatMap { m =>
       Seq(paper.getOrElse((ds, method, m), "-"), cell(sweep((ds, method, m))))
     }
     TableIO.emit(tag, TableIO.render(title, headers, rows ++ extraRows))
@@ -157,9 +128,9 @@ object Tables {
   def sparkRows(spark: SparkSession): Seq[Seq[String]] =
     for (ds <- Seq("gfg", "bio")) yield {
       val d = Datasets(ds)
-      val cells = edgeMetricNames.flatMap { m =>
-        val out = Runner.runSpark(spark, metricOf(m), d)
-        System.err.println(s"[spark] $ds $m -> ${out.timeCell}s g=${out.densityCell}")
+      val cells = Metric.edgeMetrics.flatMap { m =>
+        val out = Runner.runSpark(spark, m, d)
+        System.err.println(s"[spark] $ds ${m.name} -> ${out.timeCell}s g=${out.densityCell}")
         Seq("-", out.timeCell)
       }
       Seq(ds, "Dupin(Spark)") ++ cells
@@ -168,20 +139,20 @@ object Tables {
   def table5(spark: Option[SparkSession] = None): String =
     sweepTable("table5", "Table 5: Runtime (s), DG/DW/FD — paper@128t vs ours@" +
       s"${Runner.threads}t on 1/1000-scale analogues",
-      edgeSweep, Runner.edgeMethods, edgeMetricNames, PaperNumbers.table5, _.timeCell,
+      edgeSweep, Runner.edgeMethods, Metric.edgeMetrics, PaperNumbers.table5, _.timeCell,
       extraRows = spark.map(sparkRows).getOrElse(Nil))
 
   def table7(): String =
     sweepTable("table7", "Table 7: Density, DG/DW/FD (paper graphs vs our analogues)",
-      edgeSweep, Runner.edgeMethods, edgeMetricNames, PaperNumbers.table7, _.densityCell)
+      edgeSweep, Runner.edgeMethods, Metric.edgeMetrics, PaperNumbers.table7, _.densityCell)
 
   def table6(): String =
     sweepTable("table6", "Table 6: Runtime (s), TDS/kCLiDS-4 (clique-capped analogues)",
-      cliqueSweep, Runner.cliqueMethods, cliqueMetricNames, PaperNumbers.table6, _.timeCell)
+      cliqueSweep, Runner.cliqueMethods, Metric.cliqueMetrics, PaperNumbers.table6, _.timeCell)
 
   def table8(): String =
     sweepTable("table8", "Table 8: Density, TDS/kCLiDS-4 (clique-capped analogues)",
-      cliqueSweep, Runner.cliqueMethods, cliqueMetricNames, PaperNumbers.table8, _.densityCell)
+      cliqueSweep, Runner.cliqueMethods, Metric.cliqueMetrics, PaperNumbers.table8, _.densityCell)
 
   // ---------------------------------------------------------------- Table 9
   /** Latency scale mapping our ~1/1000-scale latencies onto the
@@ -197,33 +168,29 @@ object Tables {
     val d = Datasets.grabStream
     val stream = PreventionSim.stream(window = 14400.0)
     val methods = Seq("Dupin", "Spade", "GBBS")
-    val metrics = Seq("DG", "DW", "FD", "TDS")
+    val metrics = Metric.edgeMetrics :+ TDS
+    // The deployed Dupin is the full system — GPO+LPO pruning on.
+    def runAs(method: String) = if (method == "Dupin") "DupinLPO" else method
+    // A metric the method does not support has no cell ('-' in the paper).
     val cells = (for {
       method <- methods
-      m <- metrics
+      m <- metrics if Method(runAs(method)).metrics.contains(m)
     } yield {
-      val supported = m != "TDS" || method != "GBBS" // GBBS: '-' in the paper
-      // The deployed Dupin is the full system — GPO+LPO pruning on.
-      val runAs = if (method == "Dupin") "DupinLPO" else method
-      val cell =
-        if (!supported) CaseCell(None, None)
-        else Runner.run(runAs, metricOf(m), d) match {
-          case Runner.Ok(sec, _, _) =>
-            val simLatency = sec * latencyScale
-            CaseCell(Some(simLatency),
-              Some(PreventionSim.preventionRatio(stream, simLatency)))
-          case Runner.Tle => CaseCell(None, None)
-        }
-      System.err.println(s"[case] $method $m -> L=${cell.lat} R=${cell.r}")
-      (method, m) -> cell
+      val cell = Runner.run(runAs(method), m, d) match {
+        case Runner.Ok(sec, _, _) =>
+          val simLatency = sec * latencyScale
+          CaseCell(Some(simLatency), Some(PreventionSim.preventionRatio(stream, simLatency)))
+        case Runner.Tle => CaseCell(None, None)
+      }
+      System.err.println(s"[case] $method ${m.name} -> L=${cell.lat} R=${cell.r}")
+      (method, m.name) -> cell
     }).toMap
-    val headers = Seq("Method") ++ metrics.flatMap(m =>
+    val headers = Seq("Method") ++ metrics.map(_.name).flatMap(m =>
       Seq(s"$m L paper", s"$m L ours", s"$m R paper", s"$m R ours"))
     val rows = methods.map { method =>
       Seq(method) ++ metrics.flatMap { m =>
-        val p = PaperNumbers.table9.getOrElse((method, m), ("-", "-"))
-        val c = cells((method, m))
-        val (lc, rc) = if (m == "TDS" && method == "GBBS") ("-", "-") else (c.lat, c.r)
+        val p = PaperNumbers.table9.getOrElse((method, m.name), ("-", "-"))
+        val (lc, rc) = cells.get((method, m.name)).fold(("-", "-"))(c => (c.lat, c.r))
         Seq(p._1, lc, p._2, rc)
       }
     }
@@ -241,29 +208,27 @@ object Tables {
   def table10(): (String, Map[(String, String, Int), Runner.Outcome]) = {
     val d = Datasets("la")
     val dc = Datasets.cliqueVariant("la")
-    val runs: Seq[(String, String, Dataset)] = Seq(
-      ("Spade", "DG", d), ("Spade", "DW", d), ("Spade", "FD", d),
-      ("FWA", "DG", d), ("FWA", "DW", d), ("FWA", "FD", d),
-      ("GBBS", "DG", d), ("GBBS", "DW", d), ("GBBS", "FD", d),
-      ("PBBS", "TDS", dc), ("PBBS", "kCLiDS", dc),
-      ("Dupin", "DG", d), ("Dupin", "DW", d), ("Dupin", "FD", d),
-      ("Dupin", "TDS", dc), ("Dupin", "kCLiDS", dc),
-    )
+    // The paper's rows: each system on the metrics it reports there.
+    val runs = for {
+      method <- Seq("Spade", "FWA", "GBBS", "PBBS", "Dupin")
+      m <- Method(method).metrics if PaperNumbers.table10.contains((method, column(m)))
+    } yield (method, m, if (m.edgeBased) d else dc)
     val threadLevels = Seq(4, 16)
     // Untimed warm-up pass: the first execution of each engine pays JIT
     // compilation, which would otherwise masquerade as thread scaling.
-    runs.foreach { case (method, m, ds) => Runner.run(method, metricOf(m), ds, t = 16) }
+    runs.foreach { case (method, m, ds) => Runner.run(method, m, ds, t = 16) }
     val cells = (for {
       (method, m, ds) <- runs
       t <- threadLevels
     } yield {
-      val out = Runner.run(method, metricOf(m), ds, t = t)
-      System.err.println(s"[t10] $method $m t=$t -> ${out.timeCell}")
-      (method, m, t) -> out
+      val out = Runner.run(method, m, ds, t = t)
+      System.err.println(s"[t10] $method ${column(m)} t=$t -> ${out.timeCell}")
+      (method, column(m), t) -> out
     }).toMap
     val headers = Seq("Method", "Metric", "X5650 paper", "ours t=4", "EPYC paper", "ours t=16")
-    val rows = runs.map { case (method, m, _) =>
-      val p = PaperNumbers.table10.getOrElse((method, m), ("-", "-"))
+    val rows = runs.map { case (method, metric, _) =>
+      val m = column(metric)
+      val p = PaperNumbers.table10((method, m))
       Seq(method, m, p._1, cells((method, m, 4)).timeCell, p._2, cells((method, m, 16)).timeCell)
     }
     (TableIO.emit("table10",

@@ -21,9 +21,7 @@ final case class PeelResult(
     sparseTrims: Long,
     history: Vector[Double],
     order: Array[Int],
-    truncated: Boolean = false) {
-  def bestSize: Int = bestSet.length
-}
+    truncated: Boolean = false)
 
 /** Thrown when a run exceeds its deadline; benches render it as TLE. */
 final class TleException(msg: String) extends RuntimeException(msg)

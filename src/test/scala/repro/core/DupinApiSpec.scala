@@ -149,6 +149,15 @@ class DupinApiSpec extends SparkSpec {
     }
   }
 
+  test("ParDetect rejects a null vertex id (edge metric and setK(3))") {
+    val vertices = Seq(Some(0L), None, Some(1L), Some(2L)).map(id => (id, 0.0)).toDF("id", "prior")
+    val edges = Seq((0L, 1L), (1L, 2L), (0L, 2L)).toDF("src", "dst")
+    for (dupin <- Seq(new Dupin(spark), new Dupin(spark).setK(3))) {
+      val err = intercept[IllegalArgumentException](dupin.LoadGraph(vertices, edges).ParDetect())
+      assert(err.getMessage.contains("null id"), err.getMessage)
+    }
+  }
+
   test("ParDetect names a dangling endpoint before a bad ESusp") {
     // Edge (2, 3) has a NaN ESusp and edge (3, 9) an end that is no vertex.
     val vertices = Seq(1L, 2L, 3L).map(id => (id, 0.0)).toDF("id", "prior")

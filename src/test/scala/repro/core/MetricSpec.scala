@@ -54,9 +54,7 @@ class MetricSpec extends AnyFunSuite {
   test("metric registry and k constants match the paper") {
     assert(DG.k == 2 && DW.k == 2 && FD.k == 2)
     assert(TDS.k == 3 && KCliDS(4).k == 4)
-    assert(Metric.byName("DG") == DG)
-    assert(Metric.byName("TDS") == TDS)
-    assert(Metric.byName("kCLiDS-4") == KCliDS(4))
+    assert(Metric.all.map(_.name) == Seq("DG", "DW", "FD", "TDS", "kCLiDS-4"))
   }
 
   // ------------------------------------------------------ edge metric state

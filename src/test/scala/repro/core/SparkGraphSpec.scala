@@ -35,6 +35,18 @@ class SparkGraphSpec extends SparkSpec {
       "raw" -> rawEdges)
   }
 
+  test("an edge with a null end is kept, and every metric's run names it") {
+    val raw = Seq((Some(1L), Some(2L)), (None, Some(3L)), (Some(2L), Some(3L)))
+      .map { case (a, b) => (a, b, 1.0) }.toDF("src", "dst", "w")
+    val g = SparkGraph(spark, raw)
+    assert(g.edges.count() == 3)
+    assert(g.vertices.orderBy("id").collect().map(_.getLong(0)).toSeq == Seq(1L, 2L, 3L))
+    for (m <- Metric.all) {
+      val err = intercept[IllegalArgumentException](SparkPeeling.run(spark, g, m))
+      assert(err.getMessage.contains("endpoint null"), s"${m.name}: ${err.getMessage}")
+    }
+  }
+
   test("vertices default to the endpoint set with vw = 0") {
     val g = SparkGraph(spark, rawEdges)
     val vs = g.vertices.orderBy("id").collect().map(r => (r.getLong(0), r.getDouble(1)))
