@@ -54,7 +54,8 @@ case object DG extends Metric {
 /** DW [Gudapati et al.]: f(S) = Σ c_ij — raw edge weights, vertices 0. */
 case object DW extends Metric {
   val name = "DW"; val k = 2; val edgeBased = true
-  def prepare(g: LocalGraph): LocalGraph = g.mapVertexWeights(_ => 0.0)
+  def prepare(g: LocalGraph): LocalGraph =
+    new LocalGraph(g.n, g.offsets, g.nbrs, g.ew, new Array[Double](g.n))
 }
 
 /** FD (Fraudar [Hooi et al.]): f(S) = Σ a_i + Σ 1/log(x+c) where x is the
@@ -64,12 +65,15 @@ case object DW extends Metric {
   */
 case object FD extends Metric {
   val name = "FD"; val k = 2; val edgeBased = true
-  /** `1/log(x + c)` falls as x grows, so the weight at the higher-degree
-    * endpoint is the smaller of the two endpoints' `t(u) = 1/log(deg(u)+c)`:
-    * n logs instead of one per CSR entry, bit for bit the same weights.
+  /** `1/log(deg + c)`, the weight of an edge whose object endpoint has
+    * degree `deg`. It falls as `deg` grows, so the weight at the
+    * higher-degree endpoint is the smaller of the two endpoints' terms.
     */
+  def term(deg: Int): Double = 1.0 / math.log(deg + Metric.FraudarC)
+
+  /** n logs instead of one per CSR entry, bit for bit the same weights. */
   def prepare(g: LocalGraph): LocalGraph = {
-    val t = Array.tabulate(g.n)(u => 1.0 / math.log(g.degree(u) + Metric.FraudarC))
+    val t = Array.tabulate(g.n)(u => term(g.degree(u)))
     val ew = new Array[Double](g.nbrs.length)
     var u = 0
     while (u < g.n) {
@@ -201,15 +205,17 @@ object EdgeMetricState {
 }
 
 /** Clique-count peeling state for TDS (k=3) / kCLiDS (k=4): w_u is the
-  * number of active k-cliques containing u, f = Σ w_u / k. Removal
-  * enumerates the cliques through u and decrements the other members;
-  * `removeBatch` does this for a whole peeling round in parallel (counts
+  * number of active k-cliques containing u, f = Σ w_u / k. `removeBatch`
+  * is the one removal walk: it enumerates the cliques through the batch and
+  * decrements their surviving members, in parallel over the batch (counts
   * are integers, so atomic decrements keep results bit-deterministic
-  * regardless of thread interleaving).
+  * regardless of thread interleaving); `remove` is a batch of one.
   */
 final class CliqueMetricState(g: LocalGraph, cliqueK: Int, initThreads: Int = 1) extends MetricState {
   val n: Int = g.n
   private val act = Array.fill(n)(true)
+  /** Members of the batch being removed; cleared after each batch. */
+  private val inBatch = new Array[Boolean](n)
   private var cnt = n
   private val c = new java.util.concurrent.atomic.AtomicIntegerArray(n)
   private var fVal = 0.0
@@ -266,113 +272,61 @@ final class CliqueMetricState(g: LocalGraph, cliqueK: Int, initThreads: Int = 1)
   def w(u: Int): Double = c.get(u).toDouble
 
   /** Active neighbors of u as an array (sorted, since adjacency is). */
-  def activeNeighbors(u: Int): Array[Int] = activeNbrs(u)
-
-  private def activeNbrs(u: Int): Array[Int] = {
+  def activeNeighbors(u: Int): Array[Int] = {
     val buf = new scala.collection.mutable.ArrayBuffer[Int]()
     var i = g.offsets(u)
     while (i < g.offsets(u + 1)) { if (act(g.nbrs(i))) buf += g.nbrs(i); i += 1 }
     buf.toArray
   }
 
-  def remove(u: Int): Unit = {
-    require(act(u), s"remove($u): not active")
-    val nb = activeNbrs(u)
-    if (cliqueK == 3) {
-      var i = 0
-      while (i < nb.length) {
-        var j = i + 1
-        while (j < nb.length) {
-          if (g.hasEdge(nb(i), nb(j))) { c.decrementAndGet(nb(i)); c.decrementAndGet(nb(j)) }
-          j += 1
-        }
-        i += 1
-      }
-    } else {
-      var i = 0
-      while (i < nb.length) {
-        var j = i + 1
-        while (j < nb.length) {
-          if (g.hasEdge(nb(i), nb(j))) {
-            var l = j + 1
-            while (l < nb.length) {
-              if (g.hasEdge(nb(i), nb(l)) && g.hasEdge(nb(j), nb(l))) {
-                c.decrementAndGet(nb(i)); c.decrementAndGet(nb(j)); c.decrementAndGet(nb(l))
-              }
-              l += 1
-            }
-          }
-          j += 1
-        }
-        i += 1
-      }
-    }
-    fVal -= c.get(u)
-    act(u) = false; c.set(u, 0); cnt -= 1
-    if (cnt == 0) fVal = 0.0
-  }
+  /** A batch of one. */
+  def remove(u: Int): Unit = removeBatch(Array(u), 1)
 
-  /** Parallel round removal: each batch vertex enumerates its cliques; a
-    * clique containing several batch vertices is owned by the smallest so
-    * it is counted (and its survivors decremented) exactly once.
+  /** Removes a peeling round in parallel. Each batch vertex u walks the
+    * cliques through it: the pairs (v, x) of its active neighbours joined
+    * by an edge close a triangle; for k=4 a third neighbour y joined to
+    * both closes the 4-clique. A clique holding several batch vertices is
+    * owned by the smallest, so it is counted (and its survivors
+    * decremented) exactly once.
     */
   override def removeBatch(us: Array[Int], threads: Int): Unit = {
-    if (us.length <= 1) { us.foreach(remove); return }
-    us.foreach(u => require(act(u), s"removeBatch($u): not active"))
-    val inBatch = new Array[Boolean](n)
+    us.foreach(u => require(act(u), s"remove($u): not active"))
     us.foreach(inBatch(_) = true)
     val killed = new java.util.concurrent.atomic.LongAdder
     repro.local.Par.parallelFor(us.length, threads, minPar = 8) { idx =>
       val u = us(idx)
-      val nb = activeNbrs(u)
+      val nb = activeNeighbors(u)
       @inline def ownedHere(v: Int) = !inBatch(v) || v > u
-      if (cliqueK == 3) {
-        var i = 0
-        while (i < nb.length) {
-          val v = nb(i)
-          if (ownedHere(v)) {
-            var j = i + 1
-            while (j < nb.length) {
-              val x = nb(j)
-              if (ownedHere(x) && g.hasEdge(v, x)) {
-                killed.increment()
-                if (!inBatch(v)) c.decrementAndGet(v)
-                if (!inBatch(x)) c.decrementAndGet(x)
-              }
-              j += 1
-            }
-          }
-          i += 1
-        }
-      } else {
-        var i = 0
-        while (i < nb.length) {
-          val v = nb(i)
-          if (ownedHere(v)) {
-            var j = i + 1
-            while (j < nb.length) {
-              val x = nb(j)
-              if (ownedHere(x) && g.hasEdge(v, x)) {
+      @inline def drop(v: Int): Unit = if (!inBatch(v)) c.decrementAndGet(v)
+      var owned = 0L
+      var i = 0
+      while (i < nb.length) {
+        val v = nb(i)
+        if (ownedHere(v)) {
+          var j = i + 1
+          while (j < nb.length) {
+            val x = nb(j)
+            if (ownedHere(x) && g.hasEdge(v, x)) {
+              if (cliqueK == 3) { owned += 1; drop(v); drop(x) }
+              else {
                 var l = j + 1
                 while (l < nb.length) {
                   val y = nb(l)
                   if (ownedHere(y) && g.hasEdge(v, y) && g.hasEdge(x, y)) {
-                    killed.increment()
-                    if (!inBatch(v)) c.decrementAndGet(v)
-                    if (!inBatch(x)) c.decrementAndGet(x)
-                    if (!inBatch(y)) c.decrementAndGet(y)
+                    owned += 1; drop(v); drop(x); drop(y)
                   }
                   l += 1
                 }
               }
-              j += 1
             }
+            j += 1
           }
-          i += 1
         }
+        i += 1
       }
+      killed.add(owned)
     }
-    us.foreach { u => act(u) = false; c.set(u, 0); cnt -= 1 }
+    us.foreach { u => inBatch(u) = false; act(u) = false; c.set(u, 0); cnt -= 1 }
     fVal -= killed.sum.toDouble
     if (cnt == 0) fVal = 0.0
   }

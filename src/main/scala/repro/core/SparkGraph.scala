@@ -14,15 +14,17 @@ import repro.local.LocalGraph
   */
 final case class SparkGraph(vertices: DataFrame, edges: DataFrame) {
 
-  /** Collect into the local CSR substrate (ids must be dense [0, n)). */
+  /** Collect into the local CSR substrate (ids must be unique and dense
+    * [0, n)).
+    */
   def toLocal: LocalGraph = {
-    val vs = vertices.select(col("id").cast("long"), col("vw").cast("double")).collect()
+    val vs = SparkPeeling.Vertices.read(vertices, col("vw"))
+    SparkPeeling.requireUnique(vs.map(_._1).sorted)
     val n = vs.length
     val vw = new Array[Double](n)
-    vs.foreach { r =>
-      val id = r.getLong(0)
+    vs.foreach { case (id, w, _) =>
       require(id >= 0 && id < n, s"toLocal requires dense ids, got $id of $n")
-      vw(id.toInt) = r.getDouble(1)
+      vw(id.toInt) = w
     }
     val es = edges.select(col("src").cast("long"), col("dst").cast("long"), col("w").cast("double"))
       .collect()

@@ -47,22 +47,6 @@ final class LocalGraph(
     s / 2.0
   }
 
-  /** A copy of this graph with every edge weight replaced by `f(u, v, w)`. */
-  def mapEdgeWeights(f: (Int, Int, Double) => Double): LocalGraph = {
-    val ew2 = new Array[Double](ew.length)
-    var u = 0
-    while (u < n) {
-      var i = offsets(u)
-      while (i < offsets(u + 1)) { ew2(i) = f(u, nbrs(i), ew(i)); i += 1 }
-      u += 1
-    }
-    new LocalGraph(n, offsets, nbrs, ew2, vw)
-  }
-
-  /** A copy with vertex weights replaced by `f(u)`. */
-  def mapVertexWeights(f: Int => Double): LocalGraph =
-    new LocalGraph(n, offsets, nbrs, ew, Array.tabulate(n)(f))
-
   /** Canonical (src < dst) edge triples, e.g. for feeding Spark/DuckDB. */
   def canonicalEdges: Array[(Int, Int, Double)] = {
     val out = Array.newBuilder[(Int, Int, Double)]

@@ -55,7 +55,7 @@ final class Spade(metric: Metric, val n: Int,
     if (a < b) a.toLong * n + b else b.toLong * n + a
 
   private def frozenWeight(u: Int, v: Int): Double =
-    1.0 / math.log(math.max(degree(u), degree(v)) + Metric.FraudarC)
+    math.min(FD.term(degree(u)), FD.term(degree(v)))
 
   private def pairs: Iterable[(Int, Int, Double, Double)] = {
     val buf = new mutable.ArrayBuffer[(Int, Int, Double, Double)](pairRaw.size)

@@ -181,6 +181,31 @@ class MetricSpec extends AnyFunSuite {
     }
   }
 
+  /** Every active vertex's w, and f and |S|, against brute force. */
+  private def assertCounts(m: Metric, g: LocalGraph, st: MetricState, active: Set[Int]): Unit = {
+    assert(st.activeCount == active.size && active.forall(st.isActive), "active set")
+    val mask = active.foldLeft(0)((acc, v) => acc | (1 << v))
+    assert(math.abs(st.f - TestGraphs.subsetDensity(m, g, mask) * active.size) < 1e-9, "f")
+    active.foreach { v =>
+      assert(math.abs(st.w(v) - TestGraphs.directWeight(m, g, active, v)) < 1e-9, s"w($v)")
+    }
+  }
+
+  /** Removes random batches of 1–3 vertices through `removeBatch`, at 1 and
+    * at 4 threads, checking the counts after each batch.
+    */
+  private def assertBatchRemovals(m: Metric, g: LocalGraph, seed: Long): Unit =
+    for (t <- Seq(1, 4)) {
+      val st = m.localState(g)
+      var active = (0 until g.n).toSet
+      val rnd = new scala.util.Random(seed)
+      while (active.nonEmpty) {
+        val batch = rnd.shuffle(active.toSeq.sorted).take(1 + rnd.nextInt(3)).toArray
+        st.removeBatch(batch, t); active --= batch
+        assertCounts(m, g, st, active)
+      }
+    }
+
   test("property: TDS incremental counts match brute force after removals") {
     forAll(TestGraphs.genGraph(maxN = 8, p = 0.6), n = 15) { g =>
       val st = TDS.localState(g)
@@ -189,13 +214,9 @@ class MetricSpec extends AnyFunSuite {
       while (active.size > 1) {
         val u = active.toSeq(rnd.nextInt(active.size))
         st.remove(u); active -= u
-        val mask = active.foldLeft(0)((m, v) => m | (1 << v))
-        val fExpect = TestGraphs.subsetDensity(TDS, g, mask) * active.size
-        assert(math.abs(st.f - fExpect) < 1e-9)
-        active.foreach { v =>
-          assert(math.abs(st.w(v) - TestGraphs.directWeight(TDS, g, active, v)) < 1e-9)
-        }
+        assertCounts(TDS, g, st, active)
       }
+      assertBatchRemovals(TDS, g, seed = 42)
     }
   }
 
@@ -208,10 +229,9 @@ class MetricSpec extends AnyFunSuite {
       while (active.size > 1) {
         val u = active.toSeq(rnd.nextInt(active.size))
         st.remove(u); active -= u
-        active.foreach { v =>
-          assert(math.abs(st.w(v) - TestGraphs.directWeight(m, g, active, v)) < 1e-9)
-        }
+        assertCounts(m, g, st, active)
       }
+      assertBatchRemovals(m, g, seed = 7)
     }
   }
 

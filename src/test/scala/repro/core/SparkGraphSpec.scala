@@ -67,6 +67,16 @@ class SparkGraphSpec extends SparkSpec {
     assert(rt.canonicalEdges.toSeq.sorted == g0.canonicalEdges.toSeq.sorted)
   }
 
+  test("toLocal rejects a null vertex id and a duplicated one") {
+    val e = Seq((0L, 1L, 1.0)).toDF("src", "dst", "w")
+    val nullId = Seq((Some(0L), 0.1), (None, 0.2), (Some(1L), 0.3)).toDF("id", "vw")
+    val err = intercept[IllegalArgumentException](SparkGraph(nullId, e).toLocal)
+    assert(err.getMessage.contains("vertices has a row with a null id"), err.getMessage)
+    val twice = Seq((0L, 0.1), (1L, 0.2), (1L, 0.3)).toDF("id", "vw")
+    val dup = intercept[IllegalArgumentException](SparkGraph(twice, e).toLocal)
+    assert(dup.getMessage.contains("vertex id 1 appears more than once"), dup.getMessage)
+  }
+
   test("fromLocal preserves vertex weights") {
     val g0 = LocalGraph.fromEdges(3, Seq((0, 1, 1.0)), Array(0.1, 0.2, 0.3))
     val rt = SparkGraph.fromLocal(spark, g0).toLocal

@@ -4,7 +4,7 @@ import java.nio.file.{Files, Paths}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines._
 import repro.core._
-import repro.data.Dataset
+import repro.data.{Dataset, Datasets}
 import repro.local.{DupinLocal, PeelResult}
 import repro.spade.Spade
 import repro.testkit.TestGraphs
@@ -29,6 +29,12 @@ class RunnerSpec extends AnyFunSuite {
     val committed = Files.readAllBytes(Paths.get("results", "table2.txt"))
     val text = Tables.table2()
     assert(text.getBytes("UTF-8").sameElements(committed), text)
+  }
+
+  test("a capped clique dataset is built once and cached") {
+    val d = Datasets.cliqueVariant("gfg")
+    assert(d.name == "gfg-cq")
+    assert(Datasets.cliqueVariant("gfg") eq d)
   }
 
   test("edge and clique sweeps list the methods in Table 2's row order") {

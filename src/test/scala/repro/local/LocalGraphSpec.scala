@@ -61,18 +61,6 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(h.canonicalEdges.toSeq.sorted == g.canonicalEdges.toSeq.sorted)
   }
 
-  test("mapEdgeWeights rewrites weights, keeps structure") {
-    val h = g.mapEdgeWeights((_, _, _) => 1.0)
-    assert(h.m == g.m)
-    assert(math.abs(h.totalEdgeWeight - 4.0) < 1e-12)
-    assert(h.degree(2) == g.degree(2))
-  }
-
-  test("mapVertexWeights rewrites vw") {
-    val h = g.mapVertexWeights(u => u.toDouble)
-    assert(h.vw.toSeq == Seq(0.0, 1.0, 2.0, 3.0))
-  }
-
   test("vertex weights default to zero") {
     assert(g.vw.forall(_ == 0.0))
   }

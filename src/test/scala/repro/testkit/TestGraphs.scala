@@ -104,10 +104,22 @@ object TestGraphs {
       }
       f / size
     } else {
-      val st = metric.localState(g)
-      var u = 0
-      while (u < g.n) { if ((mask & (1 << u)) == 0) st.remove(u); u += 1 }
-      st.density
+      // The k-cliques a < b < … of G[mask], listed over adjacency bitmasks
+      // (independent of the incremental clique state under test).
+      val adj = Array.tabulate(g.n) { u =>
+        (g.offsets(u) until g.offsets(u + 1)).foldLeft(0)((m, i) => m | (1 << g.nbrs(i)))
+      }
+      def cliques(cand: Int, left: Int): Long =
+        if (left == 0) 1L
+        else {
+          var total = 0L; var rest = cand
+          while (rest != 0) {
+            val u = Integer.numberOfTrailingZeros(rest); rest &= rest - 1
+            total += cliques(cand & adj(u) & (-1 << (u + 1)), left - 1)
+          }
+          total
+        }
+      cliques(mask, metric.k).toDouble / size
     }
   }
 
