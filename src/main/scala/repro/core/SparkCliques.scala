@@ -21,12 +21,6 @@ import org.apache.spark.sql.functions._
   */
 object SparkCliques {
 
-  /** Triangles (a<b<c) as a DataFrame with columns a, b, c. */
-  def triangles(edges: DataFrame): DataFrame = cliques(edges, 3)
-
-  /** 4-cliques (a<b<c<d) as a DataFrame with columns a, b, c, d. */
-  def fourCliques(edges: DataFrame): DataFrame = cliques(edges, 4)
-
   /** The member columns of a k-clique listing: a, b, c (, d). */
   def columns(k: Int): Seq[String] = Seq("a", "b", "c", "d").take(k)
 

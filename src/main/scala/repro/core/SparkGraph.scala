@@ -1,50 +1,39 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.data.Dataset
 import repro.local.LocalGraph
 
-/** DataFrame property graph.
-  *
-  * Invariants: `vertices(id: Long, vw: Double)` with unique ids;
-  * `edges(src: Long, dst: Long, w: Double)` undirected-canonical
+/** DataFrame property graph: `vertices(id: Long, vw: Double)` with unique
+  * ids and `edges(src: Long, dst: Long, w: Double)`. [[SparkGraph.apply]]
+  * and [[SparkGraph.fromLocal]] make the edges undirected-canonical
   * (`src < dst`, no loops, one coalesced row per pair — parallel edges'
-  * weights are summed, matching [[repro.local.LocalGraph.fromEdges]]).
+  * weights are summed, matching [[repro.local.LocalGraph.fromEdges]]); the
+  * engine also takes raw rows, whose weights add up per pair the same way.
   */
 final case class SparkGraph(vertices: DataFrame, edges: DataFrame) {
 
   /** Collect into the local CSR substrate (ids must be unique and dense
-    * [0, n)).
+    * [0, n)). An edge end that is null or outside [0, n) is named.
     */
   def toLocal: LocalGraph = {
-    val vs = SparkPeeling.Vertices.read(vertices, col("vw"))
-    SparkPeeling.requireUnique(vs.map(_._1).sorted)
-    val n = vs.length
-    val vw = new Array[Double](n)
-    vs.foreach { case (id, w, _) =>
-      require(id >= 0 && id < n, s"toLocal requires dense ids, got $id of $n")
-      vw(id.toInt) = w
+    val v = SparkPeeling.Vertices(SparkPeeling.Vertices.read(vertices, col("vw")))
+    val n = v.ids.length
+    v.ids.foreach(id => require(id >= 0 && id < n, s"toLocal requires dense ids, got $id of $n"))
+    def end(r: Row, i: Int): Int = {
+      require(!r.isNullAt(i) && r.getLong(i) >= 0 && r.getLong(i) < n,
+        s"edge endpoint ${r.get(i)} is not a row of vertices [0, $n)")
+      r.getLong(i).toInt
     }
     val es = edges.select(col("src").cast("long"), col("dst").cast("long"), col("w").cast("double"))
       .collect()
-      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt, r.getDouble(2)))
-    LocalGraph.fromEdges(n, es.toIndexedSeq, vw)
+      .map(r => (end(r, 0), end(r, 1), r.getDouble(2)))
+    LocalGraph.fromEdges(n, es.toIndexedSeq, v.vw)
   }
 }
 
 object SparkGraph {
-
-  /** One row per unordered pair of raw `src`, `dst` rows: the ends as
-    * `Long`s in ascending order and `w` summed over the pair's rows. A null
-    * end (which `least` would skip) sorts first and stays, so the engine's
-    * endpoint check names it.
-    */
-  def canonical(rawEdges: DataFrame, w: Column): DataFrame = {
-    val ends = sort_array(array(col("src").cast("long"), col("dst").cast("long")))
-    rawEdges.select(ends(0).as("src"), ends(1).as("dst"), w.cast("double").as("w"))
-      .groupBy("src", "dst").agg(sum("w").as("w"))
-  }
 
   /** Canonicalize raw (possibly directed / duplicated / self-looped) edges
     * and build the graph; vertices are the union of endpoints plus any in
@@ -53,7 +42,14 @@ object SparkGraph {
     */
   def apply(spark: SparkSession, rawEdges: DataFrame,
             rawVertices: Option[DataFrame] = None): SparkGraph = {
-    val e = canonical(rawEdges, coalesce(col("w"), lit(1.0)))
+    // One row per unordered pair: the ends as `Long`s in ascending order and
+    // `w` (1 if null) summed over the pair's rows. A null end (which `least`
+    // would skip) sorts first and stays, so the engine's endpoint check
+    // names it.
+    val ends = sort_array(array(col("src").cast("long"), col("dst").cast("long")))
+    val w = coalesce(col("w"), lit(1.0)).cast("double")
+    val e = rawEdges.select(ends(0).as("src"), ends(1).as("dst"), w.as("w"))
+      .groupBy("src", "dst").agg(sum("w").as("w"))
       .where(col("src").isNull || col("src") =!= col("dst"))
     val endpointIds = e.select(col("src").as("id")).union(e.select(col("dst").as("id")))
       .where(col("id").isNotNull).distinct()

@@ -77,28 +77,32 @@ object SparkPeeling {
       history: Vector[Double],
       truncated: Boolean)
 
-  /** Vertex rows collected to the driver: `ids` ascending, so state index
-    * `u` is vertex `ids(u)`, and `vw(u)` its vertex weight.
+  /** Vertex rows collected to the driver: the non-benign `ids` ascending,
+    * so state index `u` is vertex `ids(u)` and `vw(u)` its vertex weight,
+    * and the `benign` ids ascending.
     */
-  final class Vertices private (val ids: Array[Long], val vw: Array[Double])
+  final class Vertices private (val ids: Array[Long], val vw: Array[Double], val benign: Array[Long])
 
   object Vertices {
-    /** Rejects a duplicated id, naming the smallest, and (Property 3.1) a
-      * negative or non-finite vertex weight, naming its vertex.
+    /** Rejects a duplicated id, benign rows included, naming the smallest,
+      * and (Property 3.1) a negative or non-finite vertex weight of a
+      * non-benign row, naming its vertex.
       */
-    def apply(rows: Array[(Long, Double)]): Vertices = {
+    def apply(rows: Array[(Long, Double, Boolean)]): Vertices = {
       val sorted = rows.sortBy(_._1)
-      val ids = sorted.map(_._1)
-      requireUnique(ids)
-      sorted.foreach { case (id, vw) =>
+      var i = 1
+      while (i < sorted.length) {
+        val id = sorted(i)._1
+        require(id != sorted(i - 1)._1, s"vertex id $id appears more than once in vertices")
+        i += 1
+      }
+      val (benign, kept) = sorted.partition(_._3)
+      kept.foreach { case (id, vw, _) =>
         require(vw >= 0 && vw < Double.PositiveInfinity,
           s"vertex $id has suspiciousness $vw; Property 3.1 needs it finite and non-negative")
       }
-      new Vertices(ids, sorted.map(_._2))
+      new Vertices(kept.map(_._1), kept.map(_._2), benign.map(_._1))
     }
-
-    /** `df`'s `id` and `vw` columns, collected by one job. */
-    def collect(df: DataFrame): Vertices = apply(read(df, col("vw")).map(r => (r._1, r._2)))
 
     /** Each row's `id` as a `Long`, `vw` as a `Double` (a null reads as
       * NaN, which [[apply]] rejects) and `flag` (a null reads as false),
@@ -111,26 +115,20 @@ object SparkPeeling {
       }
   }
 
-  /** Throws if the ascending `ids` hold an id twice, naming the smallest. */
-  def requireUnique(ids: Array[Long]): Unit = {
-    var i = 1
-    while (i < ids.length) {
-      require(ids(i) != ids(i - 1), s"vertex id ${ids(i)} appears more than once in vertices")
-      i += 1
-    }
-  }
-
-  /** Run a built-in metric on a property graph. */
+  /** Run a built-in metric on a property graph: the metric's listing on
+    * the [[Dupin]] API (paper §3, Listings 1–4), detected by `ParDetect`.
+    */
   def run(spark: SparkSession, g: SparkGraph, metric: Metric,
           cfg: Config = Config()): Result = {
-    def vertices(vw: Column) = Vertices.collect(g.vertices.withColumn("vw", vw))
-    metric match {
-      case DG => runEdge(spark, vertices(lit(0.0)), g.edges.withColumn("w", lit(1.0)), cfg)
-      case DW => runEdge(spark, vertices(lit(0.0)), g.edges, cfg)
-      case FD => runEdge(spark, vertices(col("vw")), fraudarEdges(g.edges), cfg)
-      case TDS => runClique(spark, vertices(lit(0.0)), g.edges, 3, cfg)
-      case KCliDS(kk) => runClique(spark, vertices(lit(0.0)), g.edges, kk, cfg)
+    val dupin = new Dupin(spark, cfg)
+    val edges = metric match {
+      case DG => dupin.ESusp(lit(1.0)); g.edges
+      case DW => dupin.ESusp(col("w")); g.edges
+      case FD => dupin.VSusp(col("vw")).ESusp(col("w")); fraudarEdges(g.edges)
+      case TDS | KCliDS(_) => dupin.setK(metric.k); g.edges
     }
+    dupin.LoadGraph(g.vertices, edges).ParDetect()
+    dupin.lastResult
   }
 
   /** Fraudar edge weights: `1/log(max(deg_src, deg_dst) + c)` with degrees
@@ -149,34 +147,34 @@ object SparkPeeling {
   }
 
   /** Edge-sum peeling (DG/DW/FD and the user-defined facade metrics):
-    * `w_u = vw_u + Σ_{(u,v)∈E[S]} w_uv`, `f = Σ vw + Σ w`. `e0` holds
-    * `src`, `dst`, `w`, one row per unordered pair. The first pass
-    * ([[load]]) checks every endpoint against the vertices of `v` and the
-    * ascending `benign` ids, drops self-loops and edges with a benign
-    * endpoint, and (Property 3.1) requires every kept `w` to be finite and
-    * non-negative.
+    * `w_u = vw_u + Σ_{(u,v)∈E[S]} w_uv`, `f = Σ vw + Σ w`. `edges` are raw
+    * `src`, `dst` rows, each weighing `esusp`: either orientation, repeated
+    * pairs and self-loops allowed, and each row adds its weight as a pair
+    * summed over its rows would. The first pass ([[load]]) checks every
+    * endpoint against the vertices and the benign ids of `v`, drops
+    * self-loops and edges with a benign endpoint, and (Property 3.1)
+    * requires the weight of every kept row to be finite and non-negative.
     */
-  def runEdge(spark: SparkSession, v: Vertices, e0: DataFrame, cfg: Config,
-              benign: Array[Long] = Array.emptyLongArray): Result = {
+  private[core] def runEdge(spark: SparkSession, v: Vertices, edges: DataFrame, esusp: Column,
+                            cfg: Config): Result = {
     val table = new Table(spark.sparkContext, v.ids.length, 2)
-    val e = e0.select(col("src").cast("long"), col("dst").cast("long"), col("w").cast("double"))
-    val loaded = table.load(e.queryExecution.toRdd, v.ids, benign, Array(0, 1), weightAt = 2)
+    val e = edges.select(col("src").cast("long"), col("dst").cast("long"), esusp.cast("double"))
+    val loaded = table.load(e.queryExecution.toRdd, v.ids, v.benign, Array(0, 1), weightAt = 2)
     peel(v, 2, cfg, new ClusterState(v.vw, table, loaded))
   }
 
   /** Clique-count peeling (TDS k=3, kCLiDS k=4): `w_u` = active k-cliques
     * through u, `f` = number of active k-cliques; `v`'s vertex weights are
-    * not used. `edges` are raw `src`, `dst` rows: either orientation,
-    * repeated pairs and self-loops allowed. The first pass ([[load]]) checks
-    * and drops them as [[runEdge]]'s does and keeps the rest as state index
-    * pairs. If they fit the budget, the detection runs on the driver:
-    * [[repro.local.LocalGraph.fromEdges]] builds the graph and the local
-    * [[CliqueMetricState]] peels it. Otherwise the cliques of the kept pairs
-    * are listed once on the cluster, and each peel drops the cliques that
-    * hold a peeled vertex.
+    * not used. `edges` are raw `src`, `dst` rows, as for [[runEdge]]. The
+    * first pass ([[load]]) checks and drops them as [[runEdge]]'s does and
+    * keeps the rest as state index pairs. If they fit the budget, the
+    * detection runs on the driver: [[repro.local.LocalGraph.fromEdges]]
+    * builds the graph and the local [[CliqueMetricState]] peels it.
+    * Otherwise the cliques of the kept pairs are listed once on the
+    * cluster, and each peel drops the cliques that hold a peeled vertex.
     */
-  def runClique(spark: SparkSession, v: Vertices, edges: DataFrame, k: Int, cfg: Config,
-                benign: Array[Long] = Array.emptyLongArray): Result = {
+  private[core] def runClique(spark: SparkSession, v: Vertices, edges: DataFrame, k: Int,
+                              cfg: Config): Result = {
     import spark.implicits._
     val n = v.ids.length
     // Ids that are already Long are read from `edges` itself: Spark keeps a
@@ -185,7 +183,7 @@ object SparkPeeling {
       if (Seq("src", "dst").forall(c => edges.schema(c).dataType == LongType)) edges
       else edges.withColumn("src", col("src").cast("long")).withColumn("dst", col("dst").cast("long"))
     val kept = new Table(spark.sparkContext, n, 2)
-    kept.load(raw.queryExecution.toRdd, v.ids, benign, Array("src", "dst").map(raw.schema.fieldIndex),
+    kept.load(raw.queryExecution.toRdd, v.ids, v.benign, Array("src", "dst").map(raw.schema.fieldIndex),
       weightAt = -1)
     if (kept.blocks != null) {
       val pairs = kept.blocks.flatMap(_.mem)

@@ -72,8 +72,11 @@ object Runner {
   }
 
   /** Supplemental: Dupin's Spark dataflow engine, timed end-to-end. The
-    * iterative rounds shuffle tiny frames, so shuffle parallelism is dialed
-    * down for the duration of the run (restored afterwards).
+    * peels start no shuffle; the setting sizes only the shuffles of
+    * [[SparkGraph.apply]]'s canonicalisation and FD's
+    * [[SparkPeeling.fraudarEdges]], whose frames are small, so shuffle
+    * parallelism is dialed down for the duration of the run (restored
+    * afterwards).
     */
   def runSpark(spark: SparkSession, metric: Metric, d: Dataset,
                cfg: SparkPeeling.Config = SparkPeeling.Config()): Outcome = {

@@ -74,9 +74,9 @@ object LocalGraph {
     * Duplicate {u,v} pairs are coalesced by summing their weights in input
     * order (multi-edges in transaction data add suspiciousness, matching the
     * paper's DW usage). Self-loops are dropped. An endpoint outside `[0, n)`
-    * (self-loops included) or a NaN/infinite edge or vertex weight is
-    * rejected with an `IllegalArgumentException` naming the first such edge
-    * in input order, or the first such vertex.
+    * (self-loops included) or a negative, NaN or infinite edge or vertex
+    * weight (Property 3.1) is rejected with an `IllegalArgumentException`
+    * naming the first such edge in input order, or the first such vertex.
     *
     * The build sorts without comparisons, in parallel on `threads` threads
     * of [[Par]]'s pool; the result is bit-identical at every thread count.
@@ -214,7 +214,8 @@ object LocalGraph {
     require(vwArr.length == n, "vertexWeights length must equal n")
     var u = 0
     while (u < n) {
-      require(java.lang.Double.isFinite(vwArr(u)), s"vertex $u has non-finite weight ${vwArr(u)}")
+      require(vwArr(u) >= 0 && vwArr(u) < Double.PositiveInfinity,
+        s"vertex $u has weight ${vwArr(u)}; Property 3.1 needs it finite and non-negative")
       u += 1
     }
     new LocalGraph(n, offsets, nbrs, ew, vwArr)
@@ -225,6 +226,7 @@ object LocalGraph {
     */
   private def edgeProblem(a: Int, b: Int, w: Double, n: Int): String =
     if (!java.lang.Double.isFinite(w)) s"edge ($a,$b) has non-finite weight $w"
+    else if (w < 0) s"edge ($a,$b) has negative weight $w; Property 3.1 needs it non-negative"
     else if (math.min(a, b) < 0 || math.max(a, b) >= n) s"edge ($a,$b) out of range [0,$n)"
     else null
 

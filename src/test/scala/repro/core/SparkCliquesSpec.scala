@@ -16,24 +16,24 @@ class SparkCliquesSpec extends SparkSpec {
 
   test("K3 has one triangle") {
     val e = edgesDf(TestGraphs.cliqueWithTail(3, 0))
-    assert(SparkCliques.triangles(e).count() == 1)
+    assert(SparkCliques.cliques(e, 3).count() == 1)
   }
 
   test("K4 has four triangles and one 4-clique") {
     val e = edgesDf(TestGraphs.cliqueWithTail(4, 0))
-    assert(SparkCliques.triangles(e).count() == 4)
-    assert(SparkCliques.fourCliques(e).count() == 1)
+    assert(SparkCliques.cliques(e, 3).count() == 4)
+    assert(SparkCliques.cliques(e, 4).count() == 1)
   }
 
   test("K5 has ten triangles and five 4-cliques") {
     val e = edgesDf(TestGraphs.cliqueWithTail(5, 0))
-    assert(SparkCliques.triangles(e).count() == 10)
-    assert(SparkCliques.fourCliques(e).count() == 5)
+    assert(SparkCliques.cliques(e, 3).count() == 10)
+    assert(SparkCliques.cliques(e, 4).count() == 5)
   }
 
   test("a path has no triangles") {
     val e = edgesDf(TestGraphs.cliqueWithTail(2, 6))
-    assert(SparkCliques.triangles(e).count() == 0)
+    assert(SparkCliques.cliques(e, 3).count() == 0)
   }
 
   test("per-vertex triangle counts on K4 + tail") {
@@ -99,7 +99,7 @@ class SparkCliquesSpec extends SparkSpec {
     val g = TestGraphs.genGraph(maxN = 10, p = 0.5)
       .pureApply(org.scalacheck.Gen.Parameters.default, org.scalacheck.rng.Seed(99))
     val e = edgesDf(g)
-    val tri = SparkCliques.triangles(e)
+    val tri = SparkCliques.cliques(e, 3)
       .select($"a".cast("long"), $"b".cast("long"), $"c".cast("long"))
     Oracle.assertEquivalent(
       tri,
@@ -116,7 +116,7 @@ class SparkCliquesSpec extends SparkSpec {
       .pureApply(org.scalacheck.Gen.Parameters.default, org.scalacheck.rng.Seed(s.toLong)))
       .find(bruteCliques(_, 4).size >= 3).get
     val e = edgesDf(g)
-    val four = SparkCliques.fourCliques(e)
+    val four = SparkCliques.cliques(e, 4)
       .select($"a".cast("long"), $"b".cast("long"), $"c".cast("long"), $"d".cast("long"))
     Oracle.assertEquivalent(
       four,

@@ -75,6 +75,14 @@ class SparkGraphSpec extends SparkSpec {
     val twice = Seq((0L, 0.1), (1L, 0.2), (1L, 0.3)).toDF("id", "vw")
     val dup = intercept[IllegalArgumentException](SparkGraph(twice, e).toLocal)
     assert(dup.getMessage.contains("vertex id 1 appears more than once"), dup.getMessage)
+    // Edge ends: a null one, and one that an `Int` narrowing would read as 1.
+    val vs = Seq((0L, 0.1), (1L, 0.2)).toDF("id", "vw")
+    val far = (1L << 32) + 1
+    for ((bad, named) <- Seq((None, Some(1L)) -> "null", (Some(far), Some(0L)) -> far.toString)) {
+      val es = Seq((Some(0L), Some(1L), 1.0), (bad._1, bad._2, 1.0)).toDF("src", "dst", "w")
+      val err = intercept[IllegalArgumentException](SparkGraph(vs, es).toLocal)
+      assert(err.getMessage.contains(s"edge endpoint $named "), err.getMessage)
+    }
   }
 
   test("fromLocal preserves vertex weights") {

@@ -105,11 +105,17 @@ class SparkPeelingSpec extends SparkSpec {
 
   test("cross-engine: DW densities agree to 1e-9 (FP-order tolerance)") {
     forAll(TestGraphs.genGraph(maxN = 12), n = 6) { g =>
-      for ((gpo, lpo) <- Seq((false, false), (true, true))) {
+      // The same graph as raw rows, which `ParDetect` adds up per pair: each
+      // edge once each way at half its weight (halving is exact).
+      val halves = g.canonicalEdges.toSeq.flatMap { case (a, b, w) =>
+        Seq((a.toLong, b.toLong, w / 2), (b.toLong, a.toLong, w / 2))
+      }.toDF("src", "dst", "w")
+      val inputs = Seq("canonical" -> sg(g), "halved rows" -> SparkGraph(sg(g).vertices, halves))
+      for ((what, input) <- inputs; (gpo, lpo) <- Seq((false, false), (true, true))) {
         val loc = DupinLocal.run(DW, g, localCfg(0.1, gpo, lpo))
-        val spk = SparkPeeling.run(spark, sg(g), DW, sparkCfg(0.1, gpo, lpo))
+        val spk = SparkPeeling.run(spark, input, DW, sparkCfg(0.1, gpo, lpo))
         assert(math.abs(spk.bestDensity - loc.bestDensity) <
-          1e-9 * math.max(1.0, loc.bestDensity), s"gpo=$gpo lpo=$lpo")
+          1e-9 * math.max(1.0, loc.bestDensity), s"$what gpo=$gpo lpo=$lpo")
       }
     }
   }
@@ -255,14 +261,14 @@ class SparkPeelingSpec extends SparkSpec {
   }
 
   test("edge ParDetect under GPO+LPO stays within a Spark-job budget per snapshot") {
-    // 2 jobs over 3 snapshots: the shuffle that sums repeated edges and the
-    // first pass, which checks the endpoints and brings the edges to the
-    // driver, where both peels run. With the endpoints checked by a `fold`
-    // job of their own before that pass, 3.
+    // 1 job over 3 snapshots: the first pass over the raw edge rows, which
+    // checks the endpoints and brings the edges to the driver, where both
+    // peels run. With a shuffle that summed repeated edges before that pass,
+    // 2; with the endpoints also checked by a `fold` job of their own, 3.
     val g = sg(TestGraphs.cliqueWithTail(8, 30))
     val dupin = new Dupin(spark).ESusp(col("w")).LoadGraph(g.vertices, g.edges)
     val (jobs, res) = countJobs { dupin.ParDetect(); dupin.lastResult }
-    assert(jobs <= 2, s"$jobs jobs")
+    assert(jobs <= 1, s"$jobs jobs")
     val perSnapshot = jobs.toDouble / res.history.size
     assert(perSnapshot < 5.0, s"$jobs jobs over ${res.history.size} snapshots")
   }

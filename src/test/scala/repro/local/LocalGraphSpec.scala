@@ -77,7 +77,7 @@ class LocalGraphSpec extends AnyFunSuite {
   }
 
   test("non-finite edge weights are rejected, naming the edge") {
-    for (w <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+    for (w <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -1.0)) {
       val e = intercept[IllegalArgumentException] {
         LocalGraph.fromEdges(3, Seq((0, 1, 1.0), (2, 1, w)))
       }
@@ -86,7 +86,7 @@ class LocalGraphSpec extends AnyFunSuite {
   }
 
   test("non-finite vertex weights are rejected, naming the vertex") {
-    for (w <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+    for (w <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -1.0)) {
       val e = intercept[IllegalArgumentException] {
         LocalGraph.fromEdges(3, Seq((0, 1, 1.0)), Array(0.0, 0.0, w))
       }
