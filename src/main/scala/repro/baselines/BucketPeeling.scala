@@ -44,8 +44,9 @@ object BucketPeeling {
         if (state.isActive(u) && state.w(u) <= m + tol) bucket += u
         u += 1
       }
-      state.removeBatch(bucket.toArray, threads)
-      bucket.foreach(tracker.removed)
+      val us = bucket.toArray
+      state.removeBatch(us, threads)
+      tracker.removed(us)
       tracker.snapshot(state.density)
     }
     tracker.result(rounds)

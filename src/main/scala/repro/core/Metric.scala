@@ -119,8 +119,6 @@ trait PeelState {
     */
   def release(): Unit = ()
   final def density: Double = if (activeCount == 0) 0.0 else f / activeCount
-  /** Ids of the currently active vertices (sorted). */
-  final def activeSet: Array[Int] = (0 until n).filter(isActive).toArray
 }
 
 /** Local mutable peeling state with incremental updates on removal, one
@@ -143,12 +141,28 @@ trait MetricState extends PeelState {
   def removeBatch(us: Array[Int], threads: Int): Unit = us.foreach(remove)
 }
 
-/** Edge-sum peeling state for DG/DW/FD: w_u = a_u + Σ_{v∈S∩N(u)} c_uv. */
+/** Edge-sum peeling state for DG/DW/FD: w_u = a_u + Σ_{v∈S∩N(u)} c_uv.
+  *
+  * `removeBatch` pushes a small batch: each member, in batch order, is
+  * removed as by `remove`. A large ascending batch is pulled instead, in
+  * parallel over the active vertices: each walks its sorted adjacency and
+  * subtracts its in-batch neighbours' weights in id order, which is batch
+  * order; a batch member subtracts only the members before it, which
+  * leaves the weight `r_j` it has when `remove` reaches it. Then f drops
+  * by each `r_j` in batch order. Both paths make the same floating-point
+  * operations in the same order, so every w and f is bit-identical; this
+  * needs each edge to weigh the same from both ends, as every CSR that
+  * [[LocalGraph.fromEdges]] builds and every metric's `prepare` keeps.
+  */
 final class EdgeMetricState(g: LocalGraph) extends MetricState {
   val n: Int = g.n
   private val act = new Array[Boolean](n)
   java.util.Arrays.fill(act, true)
   private var cnt = n
+  /** Σ deg(u) over the active u: the entries a pull walks. */
+  private var actDeg = g.nbrs.length.toLong
+  /** 1.0 for the members of the batch being pulled, else 0.0. */
+  private val inBatch = new Array[Double](n)
   private val wArr = EdgeMetricState.initialWeights(g)
   private var fVal = EdgeMetricState.initialF(g)
 
@@ -157,12 +171,7 @@ final class EdgeMetricState(g: LocalGraph) extends MetricState {
   def f: Double = fVal
   def w(u: Int): Double = wArr(u)
 
-  def activeNeighbors(u: Int): Array[Int] = {
-    val buf = new scala.collection.mutable.ArrayBuffer[Int]()
-    var i = g.offsets(u)
-    while (i < g.offsets(u + 1)) { if (act(g.nbrs(i))) buf += g.nbrs(i); i += 1 }
-    buf.toArray
-  }
+  def activeNeighbors(u: Int): Array[Int] = g.neighborsIn(u, act)
 
   def remove(u: Int): Unit = {
     require(act(u), s"remove($u): not active")
@@ -173,7 +182,56 @@ final class EdgeMetricState(g: LocalGraph) extends MetricState {
       if (act(v)) wArr(v) -= g.ew(i)
       i += 1
     }
-    act(u) = false; wArr(u) = 0.0; cnt -= 1
+    act(u) = false; wArr(u) = 0.0; cnt -= 1; actDeg -= g.degree(u)
+    if (cnt == 0) fVal = 0.0
+  }
+
+  /** Pulls when that is the cheaper path: a pull reads the n activity
+    * flags and walks the `actDeg` entries of the active vertices, shared by
+    * up to 4 threads, and a push walks the batch's own entries on one.
+    */
+  override def removeBatch(us: Array[Int], threads: Int): Unit = {
+    var batchDeg = 0L
+    var ascending = true
+    var j = 0
+    while (j < us.length) {
+      batchDeg += g.degree(us(j))
+      if (j > 0 && us(j) <= us(j - 1)) ascending = false
+      j += 1
+    }
+    if (ascending && batchDeg * math.min(threads, 4) >= actDeg + n) pull(us, threads)
+    else us.foreach(remove)
+  }
+
+  /** The pull path of `removeBatch`, for an ascending batch `us`. Chunks
+    * hold equal shares of the CSR entries, since hubs cluster. A neighbour
+    * outside the batch subtracts `c_uv * 0.0`, which leaves w as it is
+    * (weights are finite and non-negative) and saves a branch per entry.
+    */
+  private def pull(us: Array[Int], threads: Int): Unit = {
+    us.foreach { u => require(act(u), s"remove($u): not active"); inBatch(u) = 1.0 }
+    val entries = g.nbrs.length
+    val chunks = if (threads <= 1) 1 else threads * 4
+    repro.local.Par.parallelForChunks(chunks, threads) { c =>
+      var v = g.rowAt(repro.local.Par.chunkStart(entries, c, chunks))
+      val end = if (c == chunks - 1) n else g.rowAt(repro.local.Par.chunkStart(entries, c + 1, chunks))
+      while (v < end) {
+        if (act(v)) {
+          var s = wArr(v)
+          var i = g.offsets(v)
+          val e = g.offsets(v + 1)
+          if (inBatch(v) != 0.0) while (i < e && g.nbrs(i) < v) { s -= g.ew(i) * inBatch(g.nbrs(i)); i += 1 }
+          else while (i < e) { s -= g.ew(i) * inBatch(g.nbrs(i)); i += 1 }
+          wArr(v) = s
+        }
+        v += 1
+      }
+    }
+    us.foreach { u =>
+      fVal -= wArr(u)
+      inBatch(u) = 0.0; act(u) = false; wArr(u) = 0.0; actDeg -= g.degree(u)
+    }
+    cnt -= us.length
     if (cnt == 0) fVal = 0.0
   }
 }
@@ -218,53 +276,7 @@ final class CliqueMetricState(g: LocalGraph, cliqueK: Int, initThreads: Int = 1)
   private val inBatch = new Array[Boolean](n)
   private var cnt = n
   private val c = new java.util.concurrent.atomic.AtomicIntegerArray(n)
-  private var fVal = 0.0
-
-  locally { // initial clique counts via canonical enumeration a<b<(c<d),
-            // parallel over the first member a (atomic integer increments
-            // keep the result bit-deterministic under any interleaving)
-    val total = new java.util.concurrent.atomic.LongAdder
-    repro.local.Par.parallelFor(n, initThreads, minPar = 16) { a =>
-      var i = g.offsets(a)
-      while (i < g.offsets(a + 1)) {
-        val b = g.nbrs(i)
-        if (a < b) {
-          // common neighbors x > b of a and b (sorted-list intersection)
-          var pa = g.offsets(a); var pb = g.offsets(b)
-          val ea = g.offsets(a + 1); val eb = g.offsets(b + 1)
-          val common = new scala.collection.mutable.ArrayBuffer[Int]()
-          while (pa < ea && pb < eb) {
-            val x = g.nbrs(pa); val y = g.nbrs(pb)
-            if (x == y) { if (x > b) common += x; pa += 1; pb += 1 }
-            else if (x < y) pa += 1
-            else pb += 1
-          }
-          if (cliqueK == 3) {
-            common.foreach { x =>
-              c.incrementAndGet(a); c.incrementAndGet(b); c.incrementAndGet(x)
-              total.increment()
-            }
-          } else {
-            var ii = 0
-            while (ii < common.length) {
-              var jj = ii + 1
-              while (jj < common.length) {
-                if (g.hasEdge(common(ii), common(jj))) {
-                  c.incrementAndGet(a); c.incrementAndGet(b)
-                  c.incrementAndGet(common(ii)); c.incrementAndGet(common(jj))
-                  total.increment()
-                }
-                jj += 1
-              }
-              ii += 1
-            }
-          }
-        }
-        i += 1
-      }
-    }
-    fVal = total.sum.toDouble
-  }
+  private var fVal = CliqueMetricState.initialCounts(g, cliqueK, initThreads, c).toDouble
 
   def activeCount: Int = cnt
   def isActive(u: Int): Boolean = act(u)
@@ -272,12 +284,7 @@ final class CliqueMetricState(g: LocalGraph, cliqueK: Int, initThreads: Int = 1)
   def w(u: Int): Double = c.get(u).toDouble
 
   /** Active neighbors of u as an array (sorted, since adjacency is). */
-  def activeNeighbors(u: Int): Array[Int] = {
-    val buf = new scala.collection.mutable.ArrayBuffer[Int]()
-    var i = g.offsets(u)
-    while (i < g.offsets(u + 1)) { if (act(g.nbrs(i))) buf += g.nbrs(i); i += 1 }
-    buf.toArray
-  }
+  def activeNeighbors(u: Int): Array[Int] = g.neighborsIn(u, act)
 
   /** A batch of one. */
   def remove(u: Int): Unit = removeBatch(Array(u), 1)
@@ -329,5 +336,58 @@ final class CliqueMetricState(g: LocalGraph, cliqueK: Int, initThreads: Int = 1)
     us.foreach { u => inBatch(u) = false; act(u) = false; c.set(u, 0); cnt -= 1 }
     fVal -= killed.sum.toDouble
     if (cnt == 0) fVal = 0.0
+  }
+}
+
+object CliqueMetricState {
+  /** Adds to `c` every vertex's k-clique count in `g` and returns the
+    * number of k-cliques. Canonical enumeration a<b<(c<d), parallel over the
+    * first member a: atomic integer increments keep the result
+    * bit-deterministic under any interleaving. (A method rather than a
+    * constructor loop, as in [[EdgeMetricState]].)
+    */
+  def initialCounts(g: LocalGraph, cliqueK: Int, threads: Int,
+                    c: java.util.concurrent.atomic.AtomicIntegerArray): Long = {
+    val total = new java.util.concurrent.atomic.LongAdder
+    repro.local.Par.parallelFor(g.n, threads, minPar = 16) { a =>
+      // common neighbours x > b of a and b, a subset of N(a)
+      val common = new Array[Int](g.degree(a))
+      var i = g.offsets(a)
+      while (i < g.offsets(a + 1)) {
+        val b = g.nbrs(i)
+        if (a < b) {
+          // sorted-list intersection
+          var len = 0
+          var pa = g.offsets(a); var pb = g.offsets(b)
+          val ea = g.offsets(a + 1); val eb = g.offsets(b + 1)
+          while (pa < ea && pb < eb) {
+            val x = g.nbrs(pa); val y = g.nbrs(pb)
+            if (x == y) { if (x > b) { common(len) = x; len += 1 }; pa += 1; pb += 1 }
+            else if (x < y) pa += 1
+            else pb += 1
+          }
+          var ii = 0
+          while (ii < len) {
+            if (cliqueK == 3) {
+              c.incrementAndGet(a); c.incrementAndGet(b); c.incrementAndGet(common(ii))
+              total.increment()
+            } else {
+              var jj = ii + 1
+              while (jj < len) {
+                if (g.hasEdge(common(ii), common(jj))) {
+                  c.incrementAndGet(a); c.incrementAndGet(b)
+                  c.incrementAndGet(common(ii)); c.incrementAndGet(common(jj))
+                  total.increment()
+                }
+                jj += 1
+              }
+            }
+            ii += 1
+          }
+        }
+        i += 1
+      }
+    }
+    total.sum
   }
 }

@@ -18,6 +18,12 @@ import scala.collection.mutable
   */
 object DupinLocal {
 
+  /** Frontier scans run in parallel from this length on. A scan step costs
+    * about a nanosecond and a hand-off to the pool about 25 µs (4 vCPU), so
+    * shorter scans are faster on the calling thread.
+    */
+  private val ScanMinPar = 1 << 15
+
   /** @param maxRounds stop after this many outer rounds; a run cut short
     *                  this way reports `truncated`
     */
@@ -40,8 +46,30 @@ object DupinLocal {
     var rounds = 0
     var longTail = 0L
     var sparse = 0L
-    val mark = new Array[Boolean](n) // per-round selection scratch
-    val wSnap = new Array[Double](n) // w_u(S_{i-1}) snapshot for this round
+    // The frontier: the active vertices in ascending id order, the first
+    // `live` entries of `front`. Every scan walks it rather than 0 until n,
+    // so a round costs |S| and not n; it is compacted after each removal.
+    val front = Array.range(0, n).filter(state.isActive)
+    var live = front.length
+    val mark = new Array[Boolean](n) // per-round selection scratch, by frontier position
+    val wSnap = new Array[Double](n) // w_u(S_{i-1}) snapshot for this round, by position
+
+    /** The frontier entries marked in `mark`, ascending. */
+    def marked(): Array[Int] = {
+      val b = new mutable.ArrayBuilder.ofInt
+      var i = 0
+      while (i < live) { if (mark(i)) b += front(i); i += 1 }
+      b.result()
+    }
+    /** Remove `us`, record them and the new snapshot, and drop them from the frontier. */
+    def peel(us: Array[Int]): Unit = {
+      state.removeBatch(us, cfg.threads)
+      tracker.removed(us)
+      tracker.snapshot(state.density)
+      var i = 0; var j = 0
+      while (i < live) { val u = front(i); if (state.isActive(u)) { front(j) = u; j += 1 }; i += 1 }
+      live = j
+    }
 
     while (state.activeCount > 0 && rounds < cfg.maxRounds) {
       Deadline.check(cfg.deadline, "DupinLocal")
@@ -52,37 +80,31 @@ object DupinLocal {
       val tau = if (cfg.gpo || cfg.lpo) math.max(tauMax, base) else base
 
       // (a,c) parallel snapshot + selection against S_{i-1}
-      Par.parallelFor(n, cfg.threads) { u =>
-        if (state.isActive(u)) {
-          val w = state.w(u)
-          wSnap(u) = w
-          mark(u) = w <= tau
-        } else mark(u) = false
+      Par.parallelFor(live, cfg.threads, ScanMinPar) { p =>
+        val w = state.w(front(p))
+        wSnap(p) = w
+        mark(p) = w <= tau
       }
-      val batch = new mutable.ArrayBuffer[Int]()
-      var u = 0
-      while (u < n) {
-        if (mark(u)) {
-          batch += u
-          if (wSnap(u) > base) longTail += 1 // peeled only thanks to τ_max
-        }
-        u += 1
+      var p = 0
+      while (p < live) {
+        if (mark(p) && wSnap(p) > base) longTail += 1 // peeled only thanks to τ_max
+        p += 1
       }
+      var batch = marked()
       if (batch.isEmpty) {
         // Numerically impossible in exact arithmetic (min w ≤ k·g ≤ τ);
         // guard against FP round-off by peeling the arg-min.
         var best = -1; var bw = Double.MaxValue
-        var v = 0
-        while (v < n) {
-          if (state.isActive(v) && state.w(v) < bw) { bw = state.w(v); best = v }
-          v += 1
+        p = 0
+        while (p < live) {
+          val v = front(p)
+          if (state.w(v) < bw) { bw = state.w(v); best = v }
+          p += 1
         }
-        batch += best
+        batch = Array(best)
       }
       // (d) apply removals (clique states fan the update work across threads)
-      state.removeBatch(batch.toArray, cfg.threads)
-      batch.foreach(tracker.removed)
-      tracker.snapshot(state.density)
+      peel(batch)
 
       // LPO inner loop (Alg. 4 lines 18–24)
       if (cfg.lpo) {
@@ -91,23 +113,17 @@ object DupinLocal {
           Deadline.check(cfg.deadline, "DupinLocal/LPO")
           val gi = state.density
           val tau2 = math.max(tauMax, gi)
-          val trims = new mutable.ArrayBuffer[Int]()
-          Par.parallelFor(n, cfg.threads) { v =>
-            mark(v) = state.isActive(v) && state.w(v) < tau2
-          }
-          var v = 0
-          while (v < n) { if (mark(v)) trims += v; v += 1 }
+          Par.parallelFor(live, cfg.threads, ScanMinPar) { q => mark(q) = state.w(front(q)) < tau2 }
+          val trims = marked()
           trimmed = trims.nonEmpty
           if (trimmed) {
-            state.removeBatch(trims.toArray, cfg.threads)
-            trims.foreach(tracker.removed)
-            sparse += trims.size
-            tracker.snapshot(state.density)
+            peel(trims)
+            sparse += trims.length
             tauMax = math.max(tauMax, state.density / (k * (1 + cfg.eps)))
           }
         }
       }
     }
-    tracker.result(rounds, longTail, sparse, stillActive = state.activeSet)
+    tracker.result(rounds, longTail, sparse, stillActive = java.util.Arrays.copyOf(front, live))
   }
 }

@@ -40,6 +40,26 @@ final class LocalGraph(
     false
   }
 
+  /** The first vertex whose adjacency list starts at CSR entry `e` or
+    * later (`n` if none does).
+    */
+  def rowAt(e: Int): Int = {
+    var lo = 0; var hi = n
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (offsets(mid) < e) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
+
+  /** The neighbours `v` of `u` with `keep(v)`, ascending. */
+  def neighborsIn(u: Int, keep: Array[Boolean]): Array[Int] = {
+    val out = new Array[Int](degree(u))
+    var k = 0; var i = offsets(u)
+    while (i < offsets(u + 1)) { val v = nbrs(i); if (keep(v)) { out(k) = v; k += 1 }; i += 1 }
+    if (k == out.length) out else java.util.Arrays.copyOf(out, k)
+  }
+
   /** Sum of all edge weights (each undirected edge counted once). */
   def totalEdgeWeight: Double = {
     var s = 0.0; var i = 0

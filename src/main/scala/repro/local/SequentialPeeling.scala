@@ -8,23 +8,29 @@ import scala.collection.mutable
   * visits nested sets S_0 ⊃ S_1 ⊃ …).
   */
 final class PeelTracker {
-  private val order = new mutable.ArrayBuffer[Int]()
+  private val order       = new mutable.ArrayBuilder.ofInt
   private var bestDensity = Double.NegativeInfinity
   private var bestCount   = 0
   private val hist        = Vector.newBuilder[Double]
 
   def removed(u: Int): Unit = order += u
 
-  /** Record the density of the current snapshot (after `order.size` removals). */
+  /** Record the removal of `us`, in array order. */
+  def removed(us: Array[Int]): Unit = order.addAll(us)
+
+  /** Record the density of the current snapshot (after `order.length` removals). */
   def snapshot(density: Double): Unit = {
     hist += density
-    if (density > bestDensity) { bestDensity = density; bestCount = order.size }
+    if (density > bestDensity) { bestDensity = density; bestCount = order.length }
   }
 
   def result(rounds: Int, longTail: Long = 0, sparse: Long = 0,
              stillActive: Array[Int] = Array.empty): PeelResult = {
-    val best = (order.view.drop(bestCount) ++ stillActive).toArray.sorted
-    PeelResult(best, bestDensity, rounds, longTail, sparse, hist.result(), order.toArray,
+    val all = order.result()
+    val best = java.util.Arrays.copyOfRange(all, bestCount, all.length + stillActive.length)
+    System.arraycopy(stillActive, 0, best, all.length - bestCount, stillActive.length)
+    java.util.Arrays.sort(best)
+    PeelResult(best, bestDensity, rounds, longTail, sparse, hist.result(), all,
       truncated = stillActive.nonEmpty)
   }
 }

@@ -139,6 +139,48 @@ class MetricSpec extends AnyFunSuite {
     }
   }
 
+  /** Removes `g`'s vertices in random batches through `removeBatch`, at 1
+    * and at 4 threads, against a copy that removes each batch one vertex at
+    * a time; every w and f must be `==`. The first batch is about half the
+    * vertices, which at 4 threads takes the parallel pull path; the second,
+    * as large, is in descending order, which must take the push path.
+    */
+  private def assertEdgeBatches(m: Metric, g: LocalGraph, seed: Long): Unit =
+    for (t <- Seq(1, 4)) {
+      val batched = new EdgeMetricState(m.prepare(g))
+      val single = new EdgeMetricState(m.prepare(g))
+      val rnd = new scala.util.Random(seed)
+      var active = (0 until g.n).toVector
+      var step = 0
+      while (active.nonEmpty) {
+        val size = if (step <= 1) math.max(2, active.size / 2) else 1 + rnd.nextInt(1 + active.size / 3)
+        val picked = rnd.shuffle(active).take(size).sorted
+        val us = (if (step == 1) picked.reverse else picked).toArray
+        batched.removeBatch(us, t)
+        us.foreach(single.remove)
+        active = active.filterNot(us.toSet)
+        val where = s"${m.name} t=$t batch $step"
+        assert(batched.f == single.f, s"$where: f")
+        assert(batched.activeCount == single.activeCount, s"$where: |S|")
+        (0 until g.n).foreach { u =>
+          assert(batched.isActive(u) == single.isActive(u), s"$where: active($u)")
+          assert(batched.w(u) == single.w(u), s"$where: w($u)")
+        }
+        step += 1
+      }
+    }
+
+  test("property: EdgeMetricState.removeBatch is bit-identical to one remove per vertex") {
+    val graphs = org.scalacheck.Gen.choose(0.05, 0.9).flatMap(p => TestGraphs.genGraph(maxN = 60, p = p))
+    forAll(graphs, n = 20) { g =>
+      for (m <- Seq(DG, DW, FD)) assertEdgeBatches(m, g, seed = g.n * 7L + g.m)
+    }
+    // Past the parallel loops' sequential cutoff, so the pull runs on 4 threads.
+    val big = LocalGraph.fromEdges(2500, repro.data.GraphGen.powerLaw(2500, 15000, 0.6, seed = 5),
+      Array.tabulate(2500)(u => (u % 7) * 0.1))
+    for (m <- Seq(DG, DW, FD)) assertEdgeBatches(m, big, seed = 5)
+  }
+
   // ---------------------------------------------------- clique metric state
   test("TDS counts one triangle on K3") {
     val st = TDS.localState(triangle)

@@ -146,6 +146,35 @@ class DupinLocalSpec extends AnyFunSuite {
     assert(a.bestDensity == b.bestDensity)
   }
 
+  test("runOn's frontier scans give == results to the full-scan oracle loop") {
+    def same(m: Metric, g: LocalGraph, cfg: DupinLocal.Config): Unit = {
+      val got = DupinLocal.run(m, g, cfg)
+      val want = repro.PeelOracle.runOn(m.localState(g, cfg.threads), m.k, cfg)
+      val where = s"${m.name} n=${g.n} $cfg"
+      assert(got.bestSet.toSeq == want.bestSet.toSeq, s"$where: bestSet")
+      assert(got.bestDensity == want.bestDensity, s"$where: bestDensity")
+      assert(got.history == want.history, s"$where: history")
+      assert(got.order.toSeq == want.order.toSeq, s"$where: order")
+      assert(got.rounds == want.rounds, s"$where: rounds")
+      assert(got.longTailPeels == want.longTailPeels, s"$where: longTailPeels")
+      assert(got.sparseTrims == want.sparseTrims, s"$where: sparseTrims")
+      assert(got.truncated == want.truncated, s"$where: truncated")
+    }
+    val configs = for {
+      (gpo, lpo) <- Seq((false, false), (true, false), (true, true))
+      t <- Seq(1, 4)
+    } yield DupinLocal.Config(gpo = gpo, lpo = lpo, threads = t)
+    val cut = DupinLocal.Config(gpo = true, lpo = true, threads = 4, maxRounds = 2)
+    val graphs = org.scalacheck.Gen.choose(0.1, 0.8).flatMap(p => TestGraphs.genGraph(maxN = 40, p = p))
+    forAll(graphs, n = 10) { g =>
+      for (m <- Seq(DG, DW, FD, TDS); cfg <- configs :+ cut) same(m, g, cfg)
+    }
+    for (m <- Seq(DG, DW, FD, TDS); cfg <- configs :+ cut) same(m, Datasets20k.social, cfg)
+    // Long enough for the frontier scans to run on the pool.
+    val wide = LocalGraph.fromEdges(40000, repro.data.GraphGen.powerLaw(40000, 120000, 0.6, seed = 3))
+    for (m <- Seq(DG, FD); cfg <- configs.filter(_.threads > 1)) same(m, wide, cfg)
+  }
+
   test("long-tail counter only increments when GPO can fire") {
     val g = TestGraphs.cliqueWithTail(8, 40)
     val plain = run(DG, g)
