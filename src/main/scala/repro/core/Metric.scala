@@ -134,8 +134,8 @@ trait MetricState extends PeelState {
     */
   def activeNeighbors(u: Int): Array[Int]
   /** Remove a whole peeling batch. The default applies removals one by one;
-    * states whose update work dominates (clique counts) override this with
-    * a genuinely parallel implementation — the parallelism the paper's
+    * both states override it with a parallel implementation (clique counts
+    * always, edge sums for large batches) — the parallelism the paper's
     * engine gets from OpenMP's `updateNgh`.
     */
   def removeBatch(us: Array[Int], threads: Int): Unit = us.foreach(remove)

@@ -9,10 +9,10 @@ import scala.collection.mutable
   * whose `removeBatch` is one distributed pass. Both engines therefore make
   * the same selections and record the same snapshots.
   *
-  * Per round: (a) snapshot the peeling weights `w_u(S_{i-1})` with a
-  * parallel scan, (b) compute `τ` from the density (and, under GPO, the
-  * global threshold `τ_max`), (c) select all vertices with `w ≤ τ` in
-  * parallel, (d) apply the removals. Under LPO, an inner loop then trims
+  * Per round: (a) snapshot the peeling weights `w_u(S_{i-1})` with a scan
+  * of the active vertices (parallel when long), (b) compute `τ` from the
+  * density (and, under GPO, the global threshold `τ_max`), (c) select all
+  * vertices with `w ≤ τ` in the same scan, (d) apply the removals. Under LPO, an inner loop then trims
   * every vertex with `w_u(S_i) < g(S_i)` (Lemma 5.2 guarantees each trim
   * increases density) until none is left.
   */
