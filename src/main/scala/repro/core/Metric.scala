@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.local.LocalGraph
+import repro.local.{LocalGraph, Par}
 
 /** A DSD density metric `g(S) = f(S)/|S|` in Dupin's framework (§2.1).
   *
@@ -20,14 +20,17 @@ sealed trait Metric {
   def k: Int
   /** Whether peeling weights are edge sums (true) or clique counts (false). */
   def edgeBased: Boolean
-  /** Effective-weight rewrite of the raw graph. */
-  def prepare(g: LocalGraph): LocalGraph
+  /** Effective-weight rewrite of the raw graph. Its per-entry pass runs on
+    * `threads` threads; the weights are bit-identical at every count.
+    */
+  def prepare(g: LocalGraph, threads: Int = Par.defaultThreads): LocalGraph
   /** Incremental peeling state over the *prepared* graph. `threads` funds
-    * the clique metrics' initial counting pass — parallel for the parallel
+    * the setup passes (the edge metrics' `prepare` and initial weights, the
+    * clique metrics' initial counting pass) — parallel for the parallel
     * systems (Dupin, PBBS, kCLIST's listing), 1 for sequential ones.
     */
   def localState(g: LocalGraph, threads: Int = 1): MetricState =
-    if (edgeBased) new EdgeMetricState(prepare(g))
+    if (edgeBased) new EdgeMetricState(prepare(g, threads), threads)
     else new CliqueMetricState(g, k, threads)
 }
 
@@ -44,9 +47,9 @@ object Metric {
 /** DG [Charikar'00]: f(S) = |E[S]| — every edge weighs 1, vertices 0. */
 case object DG extends Metric {
   val name = "DG"; val k = 2; val edgeBased = true
-  def prepare(g: LocalGraph): LocalGraph = {
+  def prepare(g: LocalGraph, threads: Int): LocalGraph = {
     val ones = new Array[Double](g.nbrs.length)
-    java.util.Arrays.fill(ones, 1.0)
+    g.forRowChunks(threads)((lo, hi) => java.util.Arrays.fill(ones, g.offsets(lo), g.offsets(hi), 1.0))
     new LocalGraph(g.n, g.offsets, g.nbrs, ones, new Array[Double](g.n))
   }
 }
@@ -54,7 +57,7 @@ case object DG extends Metric {
 /** DW [Gudapati et al.]: f(S) = Σ c_ij — raw edge weights, vertices 0. */
 case object DW extends Metric {
   val name = "DW"; val k = 2; val edgeBased = true
-  def prepare(g: LocalGraph): LocalGraph =
+  def prepare(g: LocalGraph, threads: Int): LocalGraph =
     new LocalGraph(g.n, g.offsets, g.nbrs, g.ew, new Array[Double](g.n))
 }
 
@@ -72,14 +75,16 @@ case object FD extends Metric {
   def term(deg: Int): Double = 1.0 / math.log(deg + Metric.FraudarC)
 
   /** n logs instead of one per CSR entry, bit for bit the same weights. */
-  def prepare(g: LocalGraph): LocalGraph = {
+  def prepare(g: LocalGraph, threads: Int): LocalGraph = {
     val t = Array.tabulate(g.n)(u => term(g.degree(u)))
     val ew = new Array[Double](g.nbrs.length)
-    var u = 0
-    while (u < g.n) {
-      var i = g.offsets(u)
-      while (i < g.offsets(u + 1)) { ew(i) = math.min(t(u), t(g.nbrs(i))); i += 1 }
-      u += 1
+    g.forRowChunks(threads) { (lo, hi) =>
+      var u = lo
+      while (u < hi) {
+        val tu = t(u); var i = g.offsets(u); val end = g.offsets(u + 1)
+        while (i < end) { ew(i) = math.min(tu, t(g.nbrs(i))); i += 1 }
+        u += 1
+      }
     }
     new LocalGraph(g.n, g.offsets, g.nbrs, ew, g.vw)
   }
@@ -88,14 +93,14 @@ case object FD extends Metric {
 /** TDS [Tsourakakis'15]: f(S) = t(S), the triangle count of G[S]. */
 case object TDS extends Metric {
   val name = "TDS"; val k = 3; val edgeBased = false
-  def prepare(g: LocalGraph): LocalGraph = g
+  def prepare(g: LocalGraph, threads: Int): LocalGraph = g
 }
 
 /** kCLiDS [Danisch et al.]: f(S) = number of k-cliques of G[S]. */
 final case class KCliDS(cliqueK: Int) extends Metric {
   require(cliqueK == 3 || cliqueK == 4, "kCLiDS supported for k in {3,4}")
   val name = s"kCLiDS-$cliqueK"; val k = cliqueK; val edgeBased = false
-  def prepare(g: LocalGraph): LocalGraph = g
+  def prepare(g: LocalGraph, threads: Int): LocalGraph = g
 }
 
 /** What Dupin's round loop ([[repro.local.DupinLocal.runOn]]) needs of a
@@ -153,8 +158,10 @@ trait MetricState extends PeelState {
   * operations in the same order, so every w and f is bit-identical; this
   * needs each edge to weigh the same from both ends, as every CSR that
   * [[LocalGraph.fromEdges]] builds and every metric's `prepare` keeps.
+  * The initial weights are summed on `threads` threads, each vertex's own
+  * sum in adjacency order, so they too are the same at every count.
   */
-final class EdgeMetricState(g: LocalGraph) extends MetricState {
+final class EdgeMetricState(g: LocalGraph, threads: Int = Par.defaultThreads) extends MetricState {
   val n: Int = g.n
   private val act = new Array[Boolean](n)
   java.util.Arrays.fill(act, true)
@@ -163,7 +170,7 @@ final class EdgeMetricState(g: LocalGraph) extends MetricState {
   private var actDeg = g.nbrs.length.toLong
   /** 1.0 for the members of the batch being pulled, else 0.0. */
   private val inBatch = new Array[Double](n)
-  private val wArr = EdgeMetricState.initialWeights(g)
+  private val wArr = EdgeMetricState.initialWeights(g, threads)
   private var fVal = EdgeMetricState.initialF(g)
 
   def activeCount: Int = cnt
@@ -203,19 +210,16 @@ final class EdgeMetricState(g: LocalGraph) extends MetricState {
     else us.foreach(remove)
   }
 
-  /** The pull path of `removeBatch`, for an ascending batch `us`. Chunks
-    * hold equal shares of the CSR entries, since hubs cluster. A neighbour
-    * outside the batch subtracts `c_uv * 0.0`, which leaves w as it is
-    * (weights are finite and non-negative) and saves a branch per entry.
+  /** The pull path of `removeBatch`, for an ascending batch `us`, over
+    * [[LocalGraph.forRowChunks]]. A neighbour outside the batch subtracts
+    * `c_uv * 0.0`, which leaves w as it is (weights are finite and
+    * non-negative) and saves a branch per entry.
     */
   private def pull(us: Array[Int], threads: Int): Unit = {
     us.foreach { u => require(act(u), s"remove($u): not active"); inBatch(u) = 1.0 }
-    val entries = g.nbrs.length
-    val chunks = if (threads <= 1) 1 else threads * 4
-    repro.local.Par.parallelForChunks(chunks, threads) { c =>
-      var v = g.rowAt(repro.local.Par.chunkStart(entries, c, chunks))
-      val end = if (c == chunks - 1) n else g.rowAt(repro.local.Par.chunkStart(entries, c + 1, chunks))
-      while (v < end) {
+    g.forRowChunks(threads) { (lo, hi) =>
+      var v = lo
+      while (v < hi) {
         if (act(v)) {
           var s = wArr(v)
           var i = g.offsets(v)
@@ -243,18 +247,22 @@ object EdgeMetricState {
   // whole and reused across states.
 
   /** Initial peeling weights over all of `g`: w_u = a_u + Σ_{v∈N(u)} c_uv. */
-  def initialWeights(g: LocalGraph): Array[Double] = {
+  def initialWeights(g: LocalGraph, threads: Int): Array[Double] = {
     val a = new Array[Double](g.n)
-    var u = 0
-    while (u < g.n) {
-      var s = g.vw(u); var i = g.offsets(u)
-      while (i < g.offsets(u + 1)) { s += g.ew(i); i += 1 }
-      a(u) = s; u += 1
+    g.forRowChunks(threads) { (lo, hi) =>
+      var u = lo
+      while (u < hi) {
+        var s = g.vw(u); var i = g.offsets(u); val end = g.offsets(u + 1)
+        while (i < end) { s += g.ew(i); i += 1 }
+        a(u) = s; u += 1
+      }
     }
     a
   }
 
-  /** Initial f(V) = Σ a_u + Σ_{edges} c_uv. */
+  /** Initial f(V) = Σ a_u + Σ_{edges} c_uv, summed sequentially: its
+    * summation order is the result.
+    */
   def initialF(g: LocalGraph): Double = {
     var s = 0.0; var u = 0
     while (u < g.n) { s += g.vw(u); u += 1 }

@@ -10,19 +10,14 @@ import scala.collection.mutable
   * the same selections and record the same snapshots.
   *
   * Per round: (a) snapshot the peeling weights `w_u(S_{i-1})` with a scan
-  * of the active vertices (parallel when long), (b) compute `τ` from the
-  * density (and, under GPO, the global threshold `τ_max`), (c) select all
-  * vertices with `w ≤ τ` in the same scan, (d) apply the removals. Under LPO, an inner loop then trims
-  * every vertex with `w_u(S_i) < g(S_i)` (Lemma 5.2 guarantees each trim
-  * increases density) until none is left.
+  * of the active vertices (parallel from [[Par.MinPar]] of them on),
+  * (b) compute `τ` from the density (and, under GPO, the global threshold
+  * `τ_max`), (c) select all vertices with `w ≤ τ` in the same scan, (d)
+  * apply the removals. Under LPO, an inner loop then trims every vertex
+  * with `w_u(S_i) < g(S_i)` (Lemma 5.2 guarantees each trim increases
+  * density) until none is left.
   */
 object DupinLocal {
-
-  /** Frontier scans run in parallel from this length on. A scan step costs
-    * about a nanosecond and a hand-off to the pool about 25 µs (4 vCPU), so
-    * shorter scans are faster on the calling thread.
-    */
-  private val ScanMinPar = 1 << 15
 
   /** @param maxRounds stop after this many outer rounds; a run cut short
     *                  this way reports `truncated`
@@ -80,7 +75,7 @@ object DupinLocal {
       val tau = if (cfg.gpo || cfg.lpo) math.max(tauMax, base) else base
 
       // (a,c) parallel snapshot + selection against S_{i-1}
-      Par.parallelFor(live, cfg.threads, ScanMinPar) { p =>
+      Par.parallelFor(live, cfg.threads) { p =>
         val w = state.w(front(p))
         wSnap(p) = w
         mark(p) = w <= tau
@@ -113,7 +108,7 @@ object DupinLocal {
           Deadline.check(cfg.deadline, "DupinLocal/LPO")
           val gi = state.density
           val tau2 = math.max(tauMax, gi)
-          Par.parallelFor(live, cfg.threads, ScanMinPar) { q => mark(q) = state.w(front(q)) < tau2 }
+          Par.parallelFor(live, cfg.threads) { q => mark(q) = state.w(front(q)) < tau2 }
           val trims = marked()
           trimmed = trims.nonEmpty
           if (trimmed) {

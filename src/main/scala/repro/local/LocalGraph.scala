@@ -40,16 +40,20 @@ final class LocalGraph(
     false
   }
 
-  /** The first vertex whose adjacency list starts at CSR entry `e` or
-    * later (`n` if none does).
+  /** Runs `body(lo, hi)` once for each row range `[lo, hi)` of a cut of
+    * `0 until n` into chunks of about equal numbers of CSR entries (hubs
+    * cluster, so equal row counts would not balance), on `threads` threads
+    * of [[Par]]'s pool. With fewer than [[Par.MinPar]] entries, or one
+    * thread, it is one call `body(0, n)` on the calling thread.
     */
-  def rowAt(e: Int): Int = {
-    var lo = 0; var hi = n
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (offsets(mid) < e) lo = mid + 1 else hi = mid
+  def forRowChunks(threads: Int)(body: (Int, Int) => Unit): Unit = {
+    val entries = nbrs.length
+    val chunks = if (threads <= 1 || entries < Par.MinPar) 1 else threads * 4
+    def rowAt(e: Int) = LocalGraph.firstRowFrom(offsets, n, e)
+    Par.parallelForChunks(chunks, threads) { c =>
+      body(rowAt(Par.chunkStart(entries, c, chunks)),
+           if (c == chunks - 1) n else rowAt(Par.chunkStart(entries, c + 1, chunks)))
     }
-    lo
   }
 
   /** The neighbours `v` of `u` with `keep(v)`, ascending. */
@@ -104,20 +108,28 @@ object LocalGraph {
     *  1. Chunks of the triples are read in parallel into primitive arrays,
     *     canonicalised to `u < v` and checked, with a histogram of `v` per
     *     chunk.
-    *  1. A stable counting-sort scatter orders the edges by `v`; a second
-    *     one, reading that order, orders them by `u`. Edges are then sorted
-    *     by `(u, v)`, and duplicates of one `(u, v)` stay in input order.
-    *  1. Rows (one per `u`) are coalesced in parallel, summing each run of
-    *     equal `v`s in place. Each chunk of rows counts, per vertex `v`, the
-    *     `v`'s lower neighbours it holds.
+    *  1. Two stable counting-sort scatters each move one `Long` key per
+    *     edge. The first orders the edges by `v` as `(u << 32) | i`, `i`
+    *     the input index; the second, reading that order, orders them by
+    *     `u` as `(v << 32) | i`, with `v` taken from the `v`-bucket bounds
+    *     it walks. Edges are then sorted by `(u, v)`, and duplicates of one
+    *     `(u, v)` stay in input order. Weights stay in input order until
+    *     the last pass. Ids are below `n` and input indices are `Int`s, so
+    *     each half fits 32 bits and unpacks with `>>> 32` and `.toInt`.
+    *  1. Rows (one per `u`) are walked in parallel, counting each row's
+    *     distinct `v`s. Each chunk of rows counts, per vertex `v`, the `v`'s
+    *     lower neighbours it holds.
     *  1. Those counts give each vertex's offsets and, for every row chunk, a
     *     private slot range in each `v`'s list of lower neighbours. A
-    *     parallel scatter writes both directions of every edge: each list is
-    *     its lower neighbours in ascending row order, then its own row, so
-    *     every adjacency list comes out sorted.
+    *     parallel scatter sums each run of equal `v` from the input-order
+    *     weights, in input order, and writes both directions of the edge:
+    *     each list is its lower neighbours in ascending row order, then its
+    *     own row, so every adjacency list comes out sorted.
     *
-    * Each pass takes at most one chunk per thread and at most `1 + len/n`
-    * chunks, so its per-chunk tables of `n` counts stay `O(n + len)` in total.
+    * Transient arrays take 16 bytes per triple (`u`, `v`, weight) and 16
+    * per edge (the two key arrays). Each pass takes at most one chunk per
+    * thread and at most `1 + len/n` chunks, so its per-chunk tables of `n`
+    * counts stay `O(n + len)` in total.
     */
   def fromEdges(n: Int, edges: Iterable[(Int, Int, Double)],
                 vertexWeights: Array[Double] = null,
@@ -137,7 +149,9 @@ object LocalGraph {
       val h = new Array[Int](n)
       var i = Par.chunkStart(len, c, inChunks); val hi = Par.chunkStart(len, c + 1, inChunks)
       while (i < hi) {
-        val (a, b, w) = in(i)
+        // Field reads, not `val (a, b, w) =`: that pattern builds a fresh
+        // tuple of boxed fields per triple (31 MB per 591K-triple build).
+        val t = in(i); val a = t._1; val b = t._2; val w = t._3
         if (edgeProblem(a, b, w, n) != null) { firstBad(c) = i; i = hi }
         else {
           val u = math.min(a, b); val v = math.max(a, b)
@@ -150,43 +164,53 @@ object LocalGraph {
     }
     val bad = firstBad.find(_ >= 0).getOrElse(-1)
     require(bad < 0, { val (a, b, w) = in(bad); edgeProblem(a, b, w, n) })
-    // Stable scatter by v (in input order within each v).
-    val m = blockStarts(byV, n, null)(n)
-    val bu = new Array[Int](m); val bv = new Array[Int](m); val bw = new Array[Double](m)
+    // Stable scatter by v (in input order within each v) of one key per
+    // edge, (u << 32) | input index; au and av are dead after it.
+    val vStart = blockStarts(byV, n, null)
+    val m = vStart(n)
+    val byVKey = new Array[Long](m)
     Par.parallelForChunks(inChunks, threads) { c =>
       val next = byV(c)
       var i = Par.chunkStart(len, c, inChunks); val hi = Par.chunkStart(len, c + 1, inChunks)
       while (i < hi) {
-        val v = av(i)
-        if (au(i) != v) {
+        val u = au(i); val v = av(i)
+        if (u != v) {
           val p = next(v); next(v) = p + 1
-          bu(p) = au(i); bv(p) = v; bw(p) = aw(i)
+          byVKey(p) = (u.toLong << 32) | i
         }
         i += 1
       }
     }
-    // Stable scatter by u, from the v order, back into av/aw: rows sorted
-    // by v, duplicates in input order.
+    // Stable scatter by u, from the v order, of (v << 32) | input index, with
+    // v read off the v-bucket bounds: rows sorted by v, duplicates in input
+    // order.
     val edgeChunks = chunkCount(m, n, threads)
     val byU = new Array[Array[Int]](edgeChunks)
     Par.parallelForChunks(edgeChunks, threads) { c =>
       val h = new Array[Int](n)
-      var i = Par.chunkStart(m, c, edgeChunks); val hi = Par.chunkStart(m, c + 1, edgeChunks)
-      while (i < hi) { h(bu(i)) += 1; i += 1 }
+      var p = Par.chunkStart(m, c, edgeChunks); val hi = Par.chunkStart(m, c + 1, edgeChunks)
+      while (p < hi) { h((byVKey(p) >>> 32).toInt) += 1; p += 1 }
       byU(c) = h
     }
     val rowStart = blockStarts(byU, n, null)
+    val key = new Array[Long](m)
     Par.parallelForChunks(edgeChunks, threads) { c =>
       val next = byU(c)
-      var i = Par.chunkStart(m, c, edgeChunks); val hi = Par.chunkStart(m, c + 1, edgeChunks)
-      while (i < hi) {
-        val p = next(bu(i)); next(bu(i)) = p + 1
-        av(p) = bv(i); aw(p) = bw(i)
-        i += 1
+      var p = Par.chunkStart(m, c, edgeChunks); val hi = Par.chunkStart(m, c + 1, edgeChunks)
+      var v = firstRowFrom(vStart, n, p + 1) - 1 // the v whose bucket holds p
+      while (p < hi) {
+        val vEnd = math.min(hi, vStart(v + 1)); val vBits = v.toLong << 32
+        while (p < vEnd) {
+          val k = byVKey(p); val u = (k >>> 32).toInt
+          val q = next(u); next(u) = q + 1
+          key(q) = vBits | (k & 0xffffffffL)
+          p += 1
+        }
+        v += 1
       }
     }
-    // Coalesce each row in place into its `distinct` first slots; row chunks
-    // hold about equal numbers of edges and count their edges per v.
+    // Count each row's distinct v; row chunks hold about equal numbers of
+    // edges and count their edges per v.
     val rowChunks = edgeChunks
     val rowBound = Array.tabulate(rowChunks + 1) { r =>
       if (r == rowChunks) n else firstRowFrom(rowStart, n, Par.chunkStart(m, r, rowChunks))
@@ -197,20 +221,20 @@ object LocalGraph {
       val h = new Array[Int](n)
       var u = rowBound(r)
       while (u < rowBound(r + 1)) {
-        var i = rowStart(u); var k = i; val end = rowStart(u + 1)
+        var i = rowStart(u); val end = rowStart(u + 1); var d = 0
         while (i < end) {
-          val v = av(i); var w = aw(i); i += 1
-          while (i < end && av(i) == v) { w += aw(i); i += 1 }
-          av(k) = v; aw(k) = w; k += 1
-          h(v) += 1
+          val vBits = key(i) >>> 32; i += 1
+          while (i < end && (key(i) >>> 32) == vBits) i += 1
+          h(vBits.toInt) += 1; d += 1
         }
-        distinct(u) = k - rowStart(u)
+        distinct(u) = d
         u += 1
       }
       lowerOf(r) = h
     }
     // Vertex x's list: one block of lower neighbours per row chunk, then its
-    // own row's `distinct(x)` upper neighbours.
+    // own row's `distinct(x)` upper neighbours. Each run of equal v sums its
+    // weights from aw in input order.
     val offsets = blockStarts(lowerOf, n, distinct)
     val nbrs = new Array[Int](offsets(n))
     val ew   = new Array[Double](offsets(n))
@@ -218,14 +242,15 @@ object LocalGraph {
       val lower = lowerOf(r)
       var u = rowBound(r)
       while (u < rowBound(r + 1)) {
-        var i = rowStart(u); val end = i + distinct(u)
+        var i = rowStart(u); val end = rowStart(u + 1)
         var p = offsets(u + 1) - distinct(u)
         while (i < end) {
-          val v = av(i); val w = aw(i)
+          val vBits = key(i) >>> 32; var w = aw(key(i).toInt); i += 1
+          while (i < end && (key(i) >>> 32) == vBits) { w += aw(key(i).toInt); i += 1 }
+          val v = vBits.toInt
           nbrs(p) = v; ew(p) = w; p += 1
           val q = lower(v); lower(v) = q + 1
           nbrs(q) = u; ew(q) = w
-          i += 1
         }
         u += 1
       }
@@ -277,7 +302,9 @@ object LocalGraph {
     starts
   }
 
-  /** The first row `u` in `[0, n]` whose edges start at or after `pos`. */
+  /** The first row `u` in `[0, n]` whose edges start at or after `pos`
+    * (its entries, in `rowStart`, are non-decreasing).
+    */
   private def firstRowFrom(rowStart: Array[Int], n: Int, pos: Int): Int = {
     var lo = 0; var hi = n
     while (lo < hi) {

@@ -51,6 +51,20 @@ class MetricSpec extends AnyFunSuite {
     }
   }
 
+  test("setup passes give the same weights at 1 and 4 threads") {
+    // 80K CSR entries: past the sequential cutoff, so 4 threads split the rows.
+    val g = LocalGraph.fromEdges(5000, repro.data.GraphGen.powerLaw(5000, 40000, 0.6, seed = 41),
+      Array.tabulate(5000)(u => (u % 7) * 0.1))
+    assert(g.nbrs.length > repro.local.Par.MinPar)
+    for (m <- Seq(DG, DW, FD)) {
+      val (p1, p4) = (m.prepare(g, 1), m.prepare(g, 4))
+      assert(java.util.Arrays.equals(p1.ew, p4.ew) && java.util.Arrays.equals(p1.vw, p4.vw), m.name)
+      val (s1, s4) = (new EdgeMetricState(p1, 1), new EdgeMetricState(p1, 4))
+      assert((0 until g.n).forall(u => s1.w(u) == s4.w(u)), s"${m.name} w")
+      assert(s1.f == s4.f, s"${m.name} f")
+    }
+  }
+
   test("metric registry and k constants match the paper") {
     assert(DG.k == 2 && DW.k == 2 && FD.k == 2)
     assert(TDS.k == 3 && KCliDS(4).k == 4)

@@ -245,6 +245,27 @@ class LocalGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("ids and input indices past 16 bits build bit for bit like the reference") {
+    // The build sorts one packed (id << 32) | input index key per edge: a key
+    // with too few bits for either half, or one unpacked with sign
+    // extension, mixes up edges here.
+    val n = 1 << 18
+    val rnd = new scala.util.Random(31)
+    val pairs = Vector.fill(60000) {
+      ((1 << 16) + rnd.nextInt(n - (1 << 16)), rnd.nextInt(n), rnd.nextDouble() * math.pow(10, rnd.nextInt(7) - 3))
+    }
+    // Every third pair again with its ends swapped, every fifth as it is,
+    // each with a new weight.
+    val dups = pairs.indices.filter(i => i % 3 == 0 || i % 5 == 0).map { i =>
+      val (a, b, _) = pairs(i); val w = rnd.nextDouble() * math.pow(10, rnd.nextInt(7) - 3)
+      if (i % 3 == 0) (b, a, w) else (a, b, w)
+    }
+    val edges = rnd.shuffle(pairs ++ dups)
+    assert(edges.length > (1 << 16))
+    val want = referenceBuild(n, edges, null)
+    for (t <- Seq(1, 3, 8)) assertSameGraph(LocalGraph.fromEdges(n, edges, threads = t), want, s"t=$t")
+  }
+
   test("a power-law graph builds bit for bit like the reference at 1 and 8 threads") {
     val edges = repro.data.GraphGen.powerLaw(3000, 20000, 0.5, seed = 21) ++
       repro.data.GraphGen.plantBlock(repro.data.GraphGen.sample(3000, 25, 22), 0.8, 3.0, 23)
