@@ -57,15 +57,20 @@ final class Dupin private[core] (spark: SparkSession, private var cfg: SparkPeel
 
   /** Run parallel detection; returns the vertex ids of S^p.
     *
-    * The vertex rows are collected to the driver (one job), which rejects
-    * a duplicated id and (Property 3.1) a negative or non-finite `VSusp` of
-    * a non-benign vertex. Both metric families hand the raw edge rows and
-    * the benign ids to the engine, whose first pass over the edges checks
-    * every endpoint (naming the smallest that is neither a vertex nor
-    * benign) and drops self-loops and edges with a benign endpoint. An
-    * edge metric's pass ([[SparkPeeling.runEdge]]) also rejects (Property
-    * 3.1) a row whose `ESusp` is negative or non-finite; a clique metric
-    * ([[SparkPeeling.runClique]]) does not read `ESusp`.
+    * Every column is read through [[SparkPeeling.columns]]: where it is a
+    * literal or a plain field of the frame, of the wanted type, the rows
+    * come from the frame's own physical plan, which Spark keeps, so no
+    * query is analysed or planned per detection; any other column is read
+    * from a projection of the frame. The vertex rows come to the driver (a
+    * local relation is read with no job, any other plan runs its own),
+    * which rejects a null or duplicated id and (Property 3.1) a negative or
+    * non-finite `VSusp` of a non-benign vertex. Both metric families hand
+    * the raw edge rows and the benign ids to the engine, whose first pass
+    * over the edges checks every endpoint (naming the smallest that is
+    * neither a vertex nor benign) and drops self-loops and edges with a
+    * benign endpoint. An edge metric's pass ([[SparkPeeling.runEdge]]) also
+    * rejects (Property 3.1) a row whose `ESusp` is negative or non-finite;
+    * a clique metric ([[SparkPeeling.runClique]]) does not read `ESusp`.
     */
   def ParDetect(): Array[Long] = {
     val (vRaw, eRaw) = loaded.getOrElse(throw new IllegalStateException("LoadGraph first"))

@@ -1,7 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, LongType}
 import repro.data.Dataset
 import repro.local.LocalGraph
 
@@ -21,14 +23,14 @@ final case class SparkGraph(vertices: DataFrame, edges: DataFrame) {
     val v = SparkPeeling.Vertices(SparkPeeling.Vertices.read(vertices, col("vw")))
     val n = v.ids.length
     v.ids.foreach(id => require(id >= 0 && id < n, s"toLocal requires dense ids, got $id of $n"))
-    def end(r: Row, i: Int): Int = {
-      require(!r.isNullAt(i) && r.getLong(i) >= 0 && r.getLong(i) < n,
-        s"edge endpoint ${r.get(i)} is not a row of vertices [0, $n)")
-      r.getLong(i).toInt
+    val e = SparkPeeling.columns(edges, col("src") -> LongType, col("dst") -> LongType, col("w") -> DoubleType)
+    def end(r: InternalRow, j: Int): Int = {
+      val id = if (e.isNull(r, j)) -1L else e.long(r, j)
+      require(id >= 0 && id < n,
+        s"edge endpoint ${if (e.isNull(r, j)) "null" else id} is not a row of vertices [0, $n)")
+      id.toInt
     }
-    val es = edges.select(col("src").cast("long"), col("dst").cast("long"), col("w").cast("double"))
-      .collect()
-      .map(r => (end(r, 0), end(r, 1), r.getDouble(2)))
+    val es = e.collect().map(r => (end(r, 0), end(r, 1), e.double(r, 2)))
     LocalGraph.fromEdges(n, es.toIndexedSeq, v.vw)
   }
 }

@@ -6,7 +6,8 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.LongType
+import org.apache.spark.sql.dupin.ColumnNodes
+import org.apache.spark.sql.types.{BooleanType, DataType, DoubleType, LongType}
 import repro.local.{DupinLocal, LocalGraph}
 import scala.collection.mutable
 import scala.reflect.ClassTag
@@ -106,14 +107,96 @@ object SparkPeeling {
 
     /** Each row's `id` as a `Long`, `vw` as a `Double` (a null reads as
       * NaN, which [[apply]] rejects) and `flag` (a null reads as false),
-      * collected by one job. Throws on a null id.
+      * read through [[columns]]. Throws on a null id.
       */
-    def read(df: DataFrame, vw: Column, flag: Column = lit(false)): Array[(Long, Double, Boolean)] =
-      df.select(col("id").cast("long"), vw.cast("double"), flag).collect().map { r =>
-        require(!r.isNullAt(0), "vertices has a row with a null id")
-        (r.getLong(0), if (r.isNullAt(1)) Double.NaN else r.getDouble(1), !r.isNullAt(2) && r.getBoolean(2))
+    def read(df: DataFrame, vw: Column, flag: Column = lit(false)): Array[(Long, Double, Boolean)] = {
+      val c = columns(df, col("id") -> LongType, vw -> DoubleType, flag -> BooleanType)
+      c.collect().map { r =>
+        require(!c.isNull(r, 0), "vertices has a row with a null id")
+        (c.long(r, 0), c.double(r, 1), c.flag(r, 2))
       }
+    }
   }
+
+  /** Whether [[columns]] reads a frame's own fields; tests scope `false`
+    * with `withValue` to compare that read with the projection.
+    */
+  private[core] val inPlace = new scala.util.DynamicVariable[Boolean](true)
+
+  /** A caller's columns, read from `frame`: column `j` is the field
+    * `at(j)` of each row or, where `at(j)` is negative, the constant
+    * `const(j)` (of the wanted type, or null) in every row.
+    */
+  private[core] final class Columns(val frame: DataFrame, val at: Array[Int], const: Array[Any]) {
+    /** The rows on the driver, from the frame's own physical plan: no
+      * analysis or planning after the frame's first read, and no job for a
+      * local relation.
+      */
+    def collect(): Array[InternalRow] = frame.queryExecution.executedPlan.executeCollect()
+    /** The rows on the cluster, from the frame's own plan. */
+    def rdd: RDD[InternalRow] = frame.queryExecution.toRdd
+
+    def isNull(r: InternalRow, j: Int): Boolean = if (at(j) < 0) const(j) == null else r.isNullAt(at(j))
+    def long(r: InternalRow, j: Int): Long = if (at(j) < 0) const(j).asInstanceOf[Long] else r.getLong(at(j))
+    /** Column `j` of `r` as a `Double`; a null reads as NaN. */
+    def double(r: InternalRow, j: Int): Double =
+      if (isNull(r, j)) Double.NaN else if (at(j) < 0) const(j).asInstanceOf[Double] else r.getDouble(at(j))
+    /** Column `j` of `r` as a flag; a null reads as false. */
+    def flag(r: InternalRow, j: Int): Boolean =
+      !isNull(r, j) && (if (at(j) < 0) const(j).asInstanceOf[Boolean] else r.getBoolean(at(j)))
+    /** Column `j`'s constant as a `Double` (a null reads as NaN); NaN if
+      * the column is a field.
+      */
+    def constant(j: Int): Double = if (at(j) < 0) double(null, j) else Double.NaN
+  }
+
+  /** The one read of a caller's columns, each wanted as a `LongType`,
+    * `DoubleType` or `BooleanType`. A literal becomes a constant. A
+    * single-part name that matches one top-level field of `df`'s schema,
+    * case included, and no other field in any case, and whose field is of
+    * the wanted type, becomes that field's index. Where every column
+    * resolves so, the rows are `df`'s own, read through the plan Spark
+    * keeps for `df`: no new `Dataset` is analysed or planned. Any other
+    * column (an expression, a cast, a qualified, case-mismatched or
+    * missing name) makes the read project `df` onto every column, cast to
+    * its type, as `select` does (a missing name throws Spark's
+    * `AnalysisException`), and read the projection's rows.
+    */
+  private[core] def columns(df: DataFrame, cols: (Column, DataType)*): Columns = {
+    val slots = cols.map { case (c, t) => if (inPlace.value) slot(df, c, t) else None }
+    if (slots.forall(_.isDefined))
+      new Columns(df, slots.map(_.get._1).toArray, slots.map(_.get._2).toArray)
+    else
+      new Columns(df.select(cols.map { case (c, t) => c.cast(t) }: _*), cols.indices.toArray,
+        new Array[Any](cols.length))
+  }
+
+  /** Column `c` of `df` as a field index (and no constant) or as a
+    * constant (index -1), if it resolves to one as [[columns]] says.
+    */
+  private def slot(df: DataFrame, c: Column, t: DataType): Option[(Int, Any)] =
+    ColumnNodes.literal(c) match {
+      case Some((v, dt)) =>
+        if (!dt.forall(_ == t)) None
+        else ((v, t) match {
+          case (null, _) => Some(null)
+          case (x: Boolean, BooleanType) => Some(x)
+          case (x: Double, DoubleType) => Some(x)
+          case (x: Int, DoubleType) => Some(x.toDouble)
+          case (x: Long, DoubleType) => Some(x.toDouble)
+          case (x: Int, LongType) => Some(x.toLong)
+          case (x: Long, LongType) => Some(x)
+          case _ => None
+        }).map(x => (-1, x))
+      case None =>
+        val fields = df.schema.fields
+        ColumnNodes.name(c).flatMap { name =>
+          fields.indices.filter(i => fields(i).name.equalsIgnoreCase(name)) match {
+            case Seq(i) if fields(i).name == name && fields(i).dataType == t => Some((i, null))
+            case _ => None
+          }
+        }
+    }
 
   /** Run a built-in metric on a property graph: the metric's listing on
     * the [[Dupin]] API (paper §3, Listings 1–4), detected by `ParDetect`.
@@ -158,8 +241,8 @@ object SparkPeeling {
   private[core] def runEdge(spark: SparkSession, v: Vertices, edges: DataFrame, esusp: Column,
                             cfg: Config): Result = {
     val table = new Table(spark.sparkContext, v.ids.length, 2)
-    val e = edges.select(col("src").cast("long"), col("dst").cast("long"), esusp.cast("double"))
-    val loaded = table.load(e.queryExecution.toRdd, v.ids, v.benign, Array(0, 1), weightAt = 2)
+    val e = columns(edges, col("src") -> LongType, col("dst") -> LongType, esusp -> DoubleType)
+    val loaded = table.load(e.rdd, v.ids, v.benign, e.at.take(2), weightAt = e.at(2), weight = e.constant(2))
     peel(v, 2, cfg, new ClusterState(v.vw, table, loaded))
   }
 
@@ -177,14 +260,9 @@ object SparkPeeling {
                               cfg: Config): Result = {
     import spark.implicits._
     val n = v.ids.length
-    // Ids that are already Long are read from `edges` itself: Spark keeps a
-    // frame's plan, so detections on one frame plan it once.
-    val raw =
-      if (Seq("src", "dst").forall(c => edges.schema(c).dataType == LongType)) edges
-      else edges.withColumn("src", col("src").cast("long")).withColumn("dst", col("dst").cast("long"))
+    val e = columns(edges, col("src") -> LongType, col("dst") -> LongType)
     val kept = new Table(spark.sparkContext, n, 2)
-    kept.load(raw.queryExecution.toRdd, v.ids, v.benign, Array("src", "dst").map(raw.schema.fieldIndex),
-      weightAt = -1)
+    kept.load(e.rdd, v.ids, v.benign, e.at, weightAt = -1, weight = 1.0)
     if (kept.blocks != null) {
       val pairs = kept.blocks.flatMap(_.mem)
       kept.release()
@@ -206,7 +284,7 @@ object SparkPeeling {
         // The members listed are state indices already: the identity ids
         // load them.
         listed.load(SparkCliques.cliques(canonical, k).queryExecution.toRdd, Array.tabulate(n)(_.toLong),
-          Array.emptyLongArray, Array.range(0, k), weightAt = -1)
+          Array.emptyLongArray, Array.range(0, k), weightAt = -1, weight = 1.0)
       } finally kept.release()
       peel(v, k, cfg, new ClusterState(new Array[Double](n), listed, loaded))
     }
@@ -220,12 +298,12 @@ object SparkPeeling {
 
   /** One block of the table, a partition's rows: row `r` holds the state
     * indices `mem(r * arity until (r + 1) * arity)` (an edge's endpoints or
-    * a clique's members) and weighs `wt(r)`, or 1 when `wt` is null.
+    * a clique's members) and weighs `wt(r)`, or `unit` when `wt` is null.
     */
-  private final class Rows(val arity: Int, val mem: Array[Int], val wt: Array[Double])
+  private final class Rows(val arity: Int, val mem: Array[Int], val wt: Array[Double], val unit: Double)
       extends Serializable {
     def count: Int = mem.length / arity
-    def weight(r: Int): Double = if (wt == null) 1.0 else wt(r)
+    def weight(r: Int): Double = if (wt == null) unit else wt(r)
   }
 
   /** What one partition's pass reports: the rows it counted took `sum(i)`
@@ -265,14 +343,14 @@ object SparkPeeling {
 
   /** The first pass over one partition of input rows, the only place an
     * input id becomes a state index: the ids of a row are at the positions
-    * `at`, its weight at `weightAt` (1 for every row if negative). Rows are
-    * read as `InternalRow`s, so no `Row` object is made per input row.
-    * Every row is read, and the smallest id that is neither one of the
+    * `at`, its weight at `weightAt` (`weight` for every row if negative).
+    * Rows are read as `InternalRow`s, so no `Row` object is made per input
+    * row. Every row is read, and the smallest id that is neither one of the
     * ascending `ids` nor of the ascending `benign` ones is reported. A row
     * with such an id, a null, a benign or a repeated one (a self-loop) is
     * dropped; the rest are counted and kept while their weights are valid.
     */
-  private def load(ids: Array[Long], benign: Array[Long], at: Array[Int], weightAt: Int)(
+  private def load(ids: Array[Long], benign: Array[Long], at: Array[Int], weightAt: Int, weight: Double)(
       it: Iterator[InternalRow]): (Rows, Delta) = {
     val arity = at.length
     val sums = new Sums(ids.length)
@@ -299,7 +377,7 @@ object SparkPeeling {
       }
       // Members are distinct unless the row is a self-loop.
       if (keep && error == null && row(0) != row(1)) {
-        val w = if (weightAt < 0) 1.0 else if (r.isNullAt(weightAt)) Double.NaN else r.getDouble(weightAt)
+        val w = if (weightAt < 0) weight else if (r.isNullAt(weightAt)) Double.NaN else r.getDouble(weightAt)
         if (!(w >= 0 && w < Double.PositiveInfinity))
           error = s"edge (${r.getLong(at(0))}, ${r.getLong(at(1))}) has suspiciousness $w; " +
             "Property 3.1 needs it finite and non-negative"
@@ -311,7 +389,7 @@ object SparkPeeling {
         }
       }
     }
-    val rows = new Rows(arity, mem.result(), if (weightAt >= 0) wt.result() else null)
+    val rows = new Rows(arity, mem.result(), if (weightAt >= 0) wt.result() else null, weight)
     (rows, sums.result(count, missing, error))
   }
 
@@ -343,7 +421,7 @@ object SparkPeeling {
     }
     val rest =
       if (kept == rows.count) rows
-      else new Rows(a, mem.result(), if (rows.wt != null) wt.result() else null)
+      else new Rows(a, mem.result(), if (rows.wt != null) wt.result() else null, rows.unit)
     (rest, sums.result(kept))
   }
 
@@ -372,8 +450,9 @@ object SparkPeeling {
       * partition order.
       */
     def load(input: RDD[InternalRow], ids: Array[Long], benign: Array[Long], at: Array[Int],
-             weightAt: Int): Array[Delta] = {
-      val deltas = pass(input, (ids, benign))((a, it) => SparkPeeling.load(a._1, a._2, at, weightAt)(it))
+             weightAt: Int, weight: Double): Array[Delta] = {
+      val deltas =
+        pass(input, (ids, benign))((a, it) => SparkPeeling.load(a._1, a._2, at, weightAt, weight)(it))
       val missing = deltas.foldLeft(Long.MaxValue)((m, d) => math.min(m, d.missing))
       val error =
         if (missing != Long.MaxValue) s"edge endpoint $missing is not a row of vertices"

@@ -5,7 +5,7 @@ import java.util.concurrent.atomic.AtomicInteger
 
 /** Thread-pool substrate for the local (shared-memory) engine.
   *
-  * Mirrors the paper's OpenMP `parallel_for` / reductions: every parallel
+  * Mirrors the paper's OpenMP `parallel_for`: every parallel
   * method takes an explicit thread count `t` so the bench harness can sweep
   * concurrency (Table 10's hardware proxy) exactly like the paper sweeps
   * threads. `t <= 1` degenerates to a plain sequential loop so sequential
@@ -47,18 +47,6 @@ object Par {
       var i = chunkStart(n, c, chunks); val hi = chunkStart(n, c + 1, chunks)
       while (i < hi) { body(i); i += 1 }
     }
-  }
-
-  /** `parallel_sum` of `term(i)` for i in [0, n). */
-  def parallelSum(n: Int, t: Int)(term: Int => Double): Double = {
-    val chunks  = if (t <= 1 || n < MinPar) 1 else t * 4
-    val partial = new Array[Double](chunks)
-    parallelForChunks(chunks, t) { c =>
-      var s = 0.0; var i = chunkStart(n, c, chunks); val hi = chunkStart(n, c + 1, chunks)
-      while (i < hi) { s += term(i); i += 1 }
-      partial(c) = s
-    }
-    partial.sum
   }
 
   /** Runs `body(c)` exactly once for every chunk `c` in `[0, chunks)`: up to

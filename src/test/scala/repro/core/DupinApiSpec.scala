@@ -1,6 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.{AnalysisException, Column, DataFrame}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{BooleanType, DoubleType, LongType}
 import org.scalacheck.Gen
 import repro.SparkSpec
 import repro.testkit.Check.forAll
@@ -305,5 +307,132 @@ class DupinApiSpec extends SparkSpec {
       .LoadGraph(exampleVertices, exampleEdges)
     dupinB.ParDetect()
     assert(dupinB.lastResult.rounds <= dupinA.lastResult.rounds)
+  }
+
+  // The column reader (`SparkPeeling.columns`): each case reads in place
+  // (the frame's own rows) or through a projection; `inPlace(false)` makes
+  // every read project, as before the reader.
+  private def bothReads[A](body: => A): Seq[A] =
+    Seq(true, false).map(SparkPeeling.inPlace.withValue(_)(body))
+
+  /** Vertices 0..7 with a prior, a benign flag for 7 and a nullable copy
+    * of the prior; a 5-clique {0..4} with a tail 4-5-6-7 and an amount per
+    * edge.
+    */
+  private def readVertices = (0L to 7L).map(id => (id, 0.1 * id, id == 7L, Option(0.1 * id)))
+    .toDF("id", "prior", "fraudFree", "maybe")
+  private def readEdges = ((for (i <- 0L until 5L; j <- i + 1 until 5L) yield (i, j)) ++
+    Seq((4L, 5L), (6L, 5L), (6L, 7L))).map { case (a, b) => (a, b, 0.5 + (a * 3 + b) % 4) }
+    .toDF("src", "dst", "amount")
+
+  test("the column reader takes literals and exact plain fields in place, and projects the rest") {
+    val vs = readVertices
+    val c = SparkPeeling.columns(vs, col("id") -> LongType, col("prior") -> DoubleType, lit(false) -> BooleanType)
+    assert(c.frame eq vs)
+    assert(c.at.toSeq == Seq(0, 1, -1))
+    assert(c.constant(1).isNaN && !c.flag(null, 2))
+    assert(SparkPeeling.columns(vs, lit(1) -> DoubleType).constant(0) == 1.0)
+    assert(SparkPeeling.columns(vs, lit(null) -> DoubleType).constant(0).isNaN)
+    assert(SparkPeeling.columns(vs, col("fraudFree") -> BooleanType).at.toSeq == Seq(2))
+    val projected: Seq[(DataFrame, Column)] = Seq(
+      vs -> col("prior") * 1.0, vs -> col("PRIOR"), vs -> col("prior").cast("double"), vs -> lit("0.5"),
+      vs -> typedLit(1.0f), vs -> col("id"), vs.select(col("*"), struct(col("id")).as("s")) -> col("s.id"))
+    for ((df, p) <- projected) {
+      val r = SparkPeeling.columns(df, col("id") -> LongType, p -> DoubleType)
+      assert((r.frame ne df) && r.at.toSeq == Seq(0, 1), p.toString)
+    }
+    // Two fields that differ only in case: the projection throws, as a
+    // `select` of either would.
+    val twoCases = vs.select(col("*"), col("prior").as("Prior"))
+    intercept[AnalysisException](SparkPeeling.columns(twoCases, col("prior") -> DoubleType))
+    // Int ids are cast by the projection.
+    val ints = (0 to 2).map(id => (id, 1.0)).toDF("id", "prior")
+    assert(SparkPeeling.columns(ints, col("id") -> LongType).frame ne ints)
+    SparkPeeling.inPlace.withValue(false) {
+      assert(SparkPeeling.columns(vs, col("id") -> LongType).frame ne vs)
+    }
+  }
+
+  private def vertexView(v: SparkPeeling.Vertices) = (v.ids.toSeq, v.vw.toSeq, v.benign.toSeq)
+
+  test("in-place and projected reads give the same Vertices and ParDetect results") {
+    val (vs, es) = (readVertices, readEdges)
+    val vIntIds = vs.withColumn("id", col("id").cast("int"))
+    val eIntIds = es.withColumn("src", col("src").cast("int")).withColumn("dst", col("dst").cast("int"))
+    val vsusps: Seq[Option[Column]] =
+      Seq(Some(col("prior")), Some(lit(0.25)), None, Some(col("prior") * 1.0), Some(col("PRIOR")))
+    val esusps: Seq[Option[Column]] = Seq(Some(col("amount")), Some(lit(2.0)), None, Some(col("Amount")))
+    val benigns: Seq[Option[Column]] = Seq(Some(col("fraudFree")), Some(lit(false)), None)
+    val cases = for (vsusp <- vsusps; benign <- benigns) yield (vsusp, benign)
+    def dupin(k: Int, vsusp: Option[Column], esusp: Option[Column], benign: Option[Column]) = {
+      val d = new Dupin(spark)
+      vsusp.foreach(d.VSusp); esusp.foreach(d.ESusp); benign.foreach(d.isBenign)
+      if (k > 0) d.setK(k) else d
+    }
+    for ((v, e, cs) <- Seq((vs, es, cases), (vIntIds, eIntIds, cases.take(3))); (vsusp, benign) <- cs) {
+      val vsAt = bothReads(vertexView(SparkPeeling.Vertices(SparkPeeling.Vertices.read(
+        v, vsusp.getOrElse(lit(0.0)), benign.getOrElse(lit(false))))))
+      assert(vsAt.distinct.size == 1, s"$vsusp $benign")
+      for ((k, esusp) <- esusps.map(0 -> _) :+ (3 -> None)) {
+        val runs = bothReads {
+          val d = dupin(k, vsusp, esusp, benign).LoadGraph(v, e)
+          d.ParDetect()
+          view(d.lastResult)
+        }
+        assert(runs(0) == runs(1), s"k=$k vsusp=$vsusp esusp=$esusp benign=$benign")
+      }
+    }
+    // The case-mismatched and Int-id reads match the plain Long reads.
+    val plain = bothReads { val d = dupin(0, Some(col("prior")), Some(col("amount")), None).LoadGraph(vs, es)
+      d.ParDetect(); view(d.lastResult) }.head
+    val other = bothReads { val d = dupin(0, Some(col("PRIOR")), Some(col("AMOUNT")), None)
+      .LoadGraph(vIntIds, eIntIds); d.ParDetect(); view(d.lastResult) }
+    assert(other.forall(_ == plain))
+  }
+
+  test("a frame that is not a local relation reads in place, with its one job") {
+    val (vs, es) = (readVertices, readEdges)
+    val (vr, er) = (vs.repartition(3), es.repartition(3))
+    assert(SparkPeeling.columns(vr, col("id") -> LongType, col("prior") -> DoubleType).frame eq vr)
+    for (k <- Seq(0, 3)) {
+      def run(v: DataFrame, e: DataFrame) = {
+        val d = new Dupin(spark).VSusp(col("prior")).ESusp(col("amount")).isBenign(col("fraudFree"))
+        (if (k > 0) d.setK(k) else d).LoadGraph(v, e).ParDetect()
+        view(d.lastResult)
+      }
+      val local = run(vs, es)
+      assert(bothReads(run(vr, er)).forall(_ == local), s"k=$k")
+      // A second detection on the same frames reads their plans again.
+      assert(run(vr, er) == local, s"k=$k")
+    }
+  }
+
+  test("rejections and missing columns are the same on both reads") {
+    bothReads {
+      for (d <- Seq(() => new Dupin(spark), () => new Dupin(spark).setK(3))) {
+        val nullId = Seq(Some(0L), None, Some(1L)).map(id => (id, 0.0)).toDF("id", "prior")
+        val err = intercept[IllegalArgumentException](
+          d().LoadGraph(nullId, Seq((0L, 1L)).toDF("src", "dst")).ParDetect())
+        assert(err.getMessage.contains("null id"), err.getMessage)
+        rejectsDuplicateIds(d())
+        for ((vsusp, shown) <- Seq(lit(-5.0) -> "-5.0", col("prior") - 1.0 -> "-1.0", lit(Double.NaN) -> "NaN",
+                                   lit(null) -> "NaN")) {
+          val msg = violation(d().VSusp(vsusp))
+          assert(msg.contains(s"vertex 0 has suspiciousness $shown"), msg)
+        }
+        val nullPrior = Seq((0L, None), (1L, Some(1.0))).toDF("id", "p")
+        val msg = intercept[IllegalArgumentException](
+          d().VSusp(col("p")).LoadGraph(nullPrior, Seq((0L, 1L)).toDF("src", "dst")).ParDetect()).getMessage
+        assert(msg.contains("vertex 0 has suspiciousness NaN"), msg)
+        for (missing <- Seq(d().VSusp(col("nope")), d().isBenign(col("nope"))))
+          intercept[AnalysisException](missing.LoadGraph(exampleVertices, exampleEdges).ParDetect())
+        intercept[AnalysisException](
+          d().LoadGraph(exampleVertices, exampleEdges.toDF("a", "b", "amount")).ParDetect())
+      }
+      val msg = violation(new Dupin(spark).ESusp(lit(-1.0)))
+      assert(msg.matches("edge \\(\\d+, \\d+\\) has suspiciousness -1\\.0;.*"), msg)
+      intercept[AnalysisException](
+        new Dupin(spark).ESusp(col("nope")).LoadGraph(exampleVertices, exampleEdges).ParDetect())
+    }
   }
 }

@@ -85,6 +85,17 @@ class SparkGraphSpec extends SparkSpec {
     }
   }
 
+  test("toLocal reads Long frames in place as it reads projected Int ones") {
+    val g0 = TestGraphs.paperExample
+    val g = SparkGraph.fromLocal(spark, g0)
+    val ints = SparkGraph(g.vertices.withColumn("id", $"id".cast("int")),
+      g.edges.withColumn("src", $"src".cast("int")).withColumn("dst", $"dst".cast("int")))
+    def view(l: LocalGraph) = (l.n, l.vw.toSeq, l.canonicalEdges.toSeq)
+    val reads = for (inPlace <- Seq(true, false); sg <- Seq(g, ints))
+      yield SparkPeeling.inPlace.withValue(inPlace)(view(sg.toLocal))
+    assert(reads.forall(_ == view(g0)))
+  }
+
   test("fromLocal preserves vertex weights") {
     val g0 = LocalGraph.fromEdges(3, Seq((0, 1, 1.0)), Array(0.1, 0.2, 0.3))
     val rt = SparkGraph.fromLocal(spark, g0).toLocal

@@ -3,7 +3,7 @@ package repro.local
 import org.scalatest.funsuite.AnyFunSuite
 import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicLong}
 
-/** The shared-memory parallel-for/parallel-sum substrate. */
+/** The shared-memory parallel-for substrate. */
 class ParSpec extends AnyFunSuite {
 
   test("parallelFor covers every index exactly once (small, sequential path)") {
@@ -25,19 +25,6 @@ class ParSpec extends AnyFunSuite {
       Par.parallelForChunks(37, t)(c => runs.incrementAndGet(c))
       assert((0 until 37).forall(runs.get(_) == 1), s"t=$t")
     }
-  }
-
-  test("parallelSum equals sequential sum") {
-    val n = 50000
-    val expect = (0 until n).map(i => i * 0.5).sum
-    for (t <- Seq(1, 2, 8)) {
-      val got = Par.parallelSum(n, t)(i => i * 0.5)
-      assert(math.abs(got - expect) < 1e-6, s"t=$t")
-    }
-  }
-
-  test("parallelSum of nothing is zero") {
-    assert(Par.parallelSum(0, 4)(_ => 1.0) == 0.0)
   }
 
   test("defaultThreads is positive and capped at 16") {
