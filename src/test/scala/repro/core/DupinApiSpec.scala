@@ -311,16 +311,14 @@ class DupinApiSpec extends SparkSpec {
 
   // The column reader (`SparkPeeling.columns`): each case reads in place
   // (the frame's own rows) or through a projection; `inPlace(false)` makes
-  // every read project, as before the reader.
+  // every read project.
   private def bothReads[A](body: => A): Seq[A] =
     Seq(true, false).map(SparkPeeling.inPlace.withValue(_)(body))
 
-  /** Vertices 0..7 with a prior, a benign flag for 7 and a nullable copy
-    * of the prior; a 5-clique {0..4} with a tail 4-5-6-7 and an amount per
-    * edge.
+  /** Vertices 0..7 with a prior and a benign flag for 7; a 5-clique
+    * {0..4} with a tail 4-5-6-7 and an amount per edge.
     */
-  private def readVertices = (0L to 7L).map(id => (id, 0.1 * id, id == 7L, Option(0.1 * id)))
-    .toDF("id", "prior", "fraudFree", "maybe")
+  private def readVertices = (0L to 7L).map(id => (id, 0.1 * id, id == 7L)).toDF("id", "prior", "fraudFree")
   private def readEdges = ((for (i <- 0L until 5L; j <- i + 1 until 5L) yield (i, j)) ++
     Seq((4L, 5L), (6L, 5L), (6L, 7L))).map { case (a, b) => (a, b, 0.5 + (a * 3 + b) % 4) }
     .toDF("src", "dst", "amount")
