@@ -22,12 +22,10 @@ object Alenex {
 
   def run(metric: Metric, g: LocalGraph,
           threads: Int = Par.defaultThreads,
-          deadline: Long = Long.MaxValue,
-          eps: Double = DefaultEps,
-          passes: Int = DefaultPasses): PeelResult = {
-    val runs = (1 to passes).map { _ =>
+          deadline: Long = Long.MaxValue): PeelResult = {
+    val runs = (1 to DefaultPasses).map { _ =>
       DupinLocal.run(metric, g,
-        DupinLocal.Config(eps = eps, gpo = false, lpo = false,
+        DupinLocal.Config(eps = DefaultEps, gpo = false, lpo = false,
                           threads = threads, deadline = deadline))
     }
     runs.maxBy(_.bestDensity)

@@ -15,17 +15,19 @@ import scala.collection.mutable
   * same scheme driving the clique metrics (TDS/kCLiDS).
   *
   * Per round: parallel arg-min reduction over active weights, then peel
-  * every vertex within `tol` of the minimum.
+  * every vertex within `Tol` of the minimum.
   */
 object BucketPeeling {
 
+  /** How far above the minimum weight a vertex still falls in its bucket. */
+  private val Tol = 1e-12
+
   def run(metric: Metric, g: LocalGraph,
           threads: Int = Par.defaultThreads,
-          deadline: Long = Long.MaxValue,
-          tol: Double = 1e-12): PeelResult =
-    runOn(metric.localState(g, threads), threads, deadline, tol)
+          deadline: Long = Long.MaxValue): PeelResult =
+    runOn(metric.localState(g, threads), threads, deadline)
 
-  def runOn(state: MetricState, threads: Int, deadline: Long, tol: Double): PeelResult = {
+  def runOn(state: MetricState, threads: Int, deadline: Long): PeelResult = {
     val n = state.n
     val tracker = new PeelTracker
     tracker.snapshot(state.density)
@@ -41,7 +43,7 @@ object BucketPeeling {
       val bucket = new mutable.ArrayBuffer[Int]()
       var u = 0
       while (u < n) {
-        if (state.isActive(u) && state.w(u) <= m + tol) bucket += u
+        if (state.isActive(u) && state.w(u) <= m + Tol) bucket += u
         u += 1
       }
       val us = bucket.toArray

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.local.{DupinLocal, PeelResult}
 
 /** The user-facing Dupin API (paper §3, Listing 1), DataFrame-flavoured:
   * suspiciousness functions are Column expressions over the loaded
@@ -20,29 +21,26 @@ import org.apache.spark.sql.functions._
   *   finite and non-negative, so `g = f/|S|` is monotone; `ParDetect`
   *   rejects a value that is not).
   * - `isBenign` marks vertices that are peeled in the first iteration.
-  * - `setEpsilon` trades precision for throughput (τ = k(1+ε)g).
+  * - `setEpsilon` trades precision for throughput (τ = k(1+ε)g); the
+  *   long-tail pruning (GPO and LPO, §5) is always on.
   * - `setK(k≥3)` switches to clique-count peeling (TDS at k=3, kCLiDS
   *   above) — `ESusp` is then ignored, matching Listing 4 where esusp≡0.
   */
-final class Dupin private[core] (spark: SparkSession, private var cfg: SparkPeeling.Config) {
-  def this(spark: SparkSession) = this(spark, SparkPeeling.Config(gpo = true, lpo = true))
+final class Dupin private[core] (spark: SparkSession, private var cfg: DupinLocal.Config) {
+  def this(spark: SparkSession) = this(spark, DupinLocal.Config(gpo = true, lpo = true))
 
   private var vsusp: Column = lit(0.0)
   private var esusp: Column = lit(1.0)
   private var benign: Column = lit(false)
   private var cliqueK: Int = 0 // 0 = edge-sum metric (k=2)
   private var loaded: Option[(DataFrame, DataFrame)] = None
-  private var last: Option[SparkPeeling.Result] = None
+  private var last: Option[PeelResult] = None
 
   def VSusp(c: Column): this.type = { vsusp = c; this }
   def ESusp(c: Column): this.type = { esusp = c; this }
   def isBenign(c: Column): this.type = { benign = c; this }
   def setEpsilon(e: Double): this.type = { require(e >= 0); cfg = cfg.copy(eps = e); this }
   def setK(k: Int): this.type = { require(k >= 3 && k <= 4); cliqueK = k; this }
-  /** Toggle the long-tail pruning optimizations (both on by default). */
-  def setPruning(globalOpt: Boolean, localOpt: Boolean): this.type = {
-    cfg = cfg.copy(gpo = globalOpt, lpo = localOpt); this
-  }
 
   /** Load a graph: `vertices` needs an `id` column (other columns feed
     * VSusp/isBenign) and each `id` once; `edges` needs `src`, `dst` (others
@@ -71,6 +69,8 @@ final class Dupin private[core] (spark: SparkSession, private var cfg: SparkPeel
     * benign endpoint. An edge metric's pass ([[SparkPeeling.runEdge]]) also
     * rejects (Property 3.1) a row whose `ESusp` is negative or non-finite;
     * a clique metric ([[SparkPeeling.runClique]]) does not read `ESusp`.
+    * The engine's best set holds state indices; this is the one place they
+    * become vertex ids.
     */
   def ParDetect(): Array[Long] = {
     val (vRaw, eRaw) = loaded.getOrElse(throw new IllegalStateException("LoadGraph first"))
@@ -81,10 +81,13 @@ final class Dupin private[core] (spark: SparkSession, private var cfg: SparkPeel
       if (cliqueK >= 3) SparkPeeling.runClique(spark, v, eRaw, cliqueK, cfg)
       else SparkPeeling.runEdge(spark, v, eRaw, esusp, cfg)
     last = Some(res)
-    res.bestSet
+    res.bestSet.map(v.ids(_))
   }
 
-  /** Full result (density, rounds, pruning stats) of the last ParDetect. */
-  def lastResult: SparkPeeling.Result =
+  /** Full result (density, rounds, pruning stats, removal order) of the
+    * last ParDetect. `bestSet` and `order` hold state indices: index `u` is
+    * the `u`-th smallest non-benign vertex id.
+    */
+  def lastResult: PeelResult =
     last.getOrElse(throw new IllegalStateException("ParDetect first"))
 }

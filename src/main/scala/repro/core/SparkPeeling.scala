@@ -8,7 +8,7 @@ import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.dupin.ColumnNodes
 import org.apache.spark.sql.types.{BooleanType, DataType, DoubleType, LongType}
-import repro.local.{DupinLocal, LocalGraph}
+import repro.local.{DupinLocal, LocalGraph, PeelResult}
 import scala.collection.mutable
 import scala.reflect.ClassTag
 
@@ -46,13 +46,12 @@ import scala.reflect.ClassTag
   * count, the arg-min guard, the LPO trims, the best snapshot) is the local
   * engine's own loop, [[repro.local.DupinLocal.runOn]], so both engines
   * share one peeling policy and are cross-checked against each other in
-  * tests.
+  * tests. The result is that loop's [[repro.local.PeelResult]], whose
+  * `bestSet` and `order` hold state indices: index `u` is the `u`-th
+  * smallest non-benign vertex id ([[Vertices]]`.ids(u)`), which
+  * [[Dupin.ParDetect]] maps back to ids.
   */
 object SparkPeeling {
-
-  /** The shared loop's settings (ε, GPO, LPO, `maxRounds`, ...). */
-  type Config = DupinLocal.Config
-  val Config: DupinLocal.Config.type = DupinLocal.Config
 
   /** Table members (rows × arity, as state indices) up to which the peel
     * finishes on the driver: 2M members, 8 MB of indices plus 8 bytes per
@@ -65,18 +64,6 @@ object SparkPeeling {
 
   /** The budget a run uses; tests scope another with `withValue`. */
   private[core] val driverBudget = new scala.util.DynamicVariable[Long](DriverBudget)
-
-  /** @param truncated the run stopped at `maxRounds` with vertices still
-    *                  active, so `bestSet` is the best of a partial peel
-    */
-  final case class Result(
-      bestSet: Array[Long],
-      bestDensity: Double,
-      rounds: Int,
-      longTailPeels: Long,
-      sparseTrims: Long,
-      history: Vector[Double],
-      truncated: Boolean)
 
   /** Vertex rows collected to the driver: the non-benign `ids` ascending,
     * so state index `u` is vertex `ids(u)` and `vw(u)` its vertex weight,
@@ -200,9 +187,11 @@ object SparkPeeling {
 
   /** Run a built-in metric on a property graph: the metric's listing on
     * the [[Dupin]] API (paper §3, Listings 1–4), detected by `ParDetect`.
+    * The result is [[Dupin.lastResult]], in state indices; on a graph with
+    * dense ids (`fromLocal`, `fromDataset`) an index is its vertex id.
     */
   def run(spark: SparkSession, g: SparkGraph, metric: Metric,
-          cfg: Config = Config()): Result = {
+          cfg: DupinLocal.Config = DupinLocal.Config()): PeelResult = {
     val dupin = new Dupin(spark, cfg)
     val edges = metric match {
       case DG => dupin.ESusp(lit(1.0)); g.edges
@@ -239,11 +228,11 @@ object SparkPeeling {
     * requires the weight of every kept row to be finite and non-negative.
     */
   private[core] def runEdge(spark: SparkSession, v: Vertices, edges: DataFrame, esusp: Column,
-                            cfg: Config): Result = {
+                            cfg: DupinLocal.Config): PeelResult = {
     val table = new Table(spark.sparkContext, v.ids.length, 2)
     val e = columns(edges, col("src") -> LongType, col("dst") -> LongType, esusp -> DoubleType)
     val loaded = table.load(e.rdd, v.ids, v.benign, e.at.take(2), weightAt = e.at(2), weight = e.constant(2))
-    peel(v, 2, cfg, new ClusterState(v.vw, table, loaded))
+    peel(2, cfg, new ClusterState(v.vw, table, loaded))
   }
 
   /** Clique-count peeling (TDS k=3, kCLiDS k=4): `w_u` = active k-cliques
@@ -257,7 +246,7 @@ object SparkPeeling {
     * cluster, and each peel drops the cliques that hold a peeled vertex.
     */
   private[core] def runClique(spark: SparkSession, v: Vertices, edges: DataFrame, k: Int,
-                              cfg: Config): Result = {
+                              cfg: DupinLocal.Config): PeelResult = {
     import spark.implicits._
     val n = v.ids.length
     val e = columns(edges, col("src") -> LongType, col("dst") -> LongType)
@@ -271,7 +260,7 @@ object SparkPeeling {
         def apply(i: Int): (Int, Int, Double) = (pairs(2 * i), pairs(2 * i + 1), 1.0)
       }
       val g = LocalGraph.fromEdges(n, es, threads = cfg.threads)
-      peel(v, k, cfg, new CliqueMetricState(g, k, cfg.threads))
+      peel(k, cfg, new CliqueMetricState(g, k, cfg.threads))
     } else {
       val listed = new Table(spark.sparkContext, n, k)
       val loaded = try {
@@ -286,15 +275,12 @@ object SparkPeeling {
         listed.load(SparkCliques.cliques(canonical, k).queryExecution.toRdd, Array.tabulate(n)(_.toLong),
           Array.emptyLongArray, Array.range(0, k), weightAt = -1, weight = 1.0)
       } finally kept.release()
-      peel(v, k, cfg, new ClusterState(new Array[Double](n), listed, loaded))
+      peel(k, cfg, new ClusterState(new Array[Double](n), listed, loaded))
     }
   }
 
-  private def peel(v: Vertices, k: Int, cfg: Config, state: PeelState): Result = {
-    val r = try DupinLocal.runOn(state, k, cfg) finally state.release()
-    Result(r.bestSet.map(v.ids(_)), r.bestDensity, r.rounds, r.longTailPeels, r.sparseTrims,
-      r.history, r.truncated)
-  }
+  private def peel(k: Int, cfg: DupinLocal.Config, state: PeelState): PeelResult =
+    try DupinLocal.runOn(state, k, cfg) finally state.release()
 
   /** One block of the table, a partition's rows: row `r` holds the state
     * indices `mem(r * arity until (r + 1) * arity)` (an edge's endpoints or

@@ -49,20 +49,23 @@ object Runner {
     Ok((System.nanoTime() - t0) / 1e9, r.bestDensity, r.rounds)
   }
 
+  /** Spade's batches per table cell, and edges per batch (the paper's 1K). */
+  private val SpadeBatches = 3
+  private val SpadeBatchSize = 1000
+
   /** Spade's table cell: average per-batch incremental latency (the paper's
     * protocol — batch size 1K, averaged) on the final fraud-forming batches
     * of the dataset's edge stream; density is Spade's maintained result.
     */
-  def spadeAvgBatch(metric: Metric, d: Dataset, deadline: Long,
-                    batches: Int = 3, batchSize: Int = 1000): Ok = {
+  def spadeAvgBatch(metric: Metric, d: Dataset, deadline: Long): Ok = {
     val sp = new Spade(metric, d.n, d.vertexWeights, deadline)
-    val nb = math.min(batches, math.max(1, d.edges.size / math.max(1, batchSize) - 1))
-    val cut = math.max(0, d.edges.size - nb * batchSize)
+    val nb = math.min(SpadeBatches, math.max(1, d.edges.size / SpadeBatchSize - 1))
+    val cut = math.max(0, d.edges.size - nb * SpadeBatchSize)
     if (cut > 0) sp.insertBatch(d.edges.take(cut)) // untimed initial build
     var total = 0L
     var i = 0
     while (i < nb) {
-      val batch = d.edges.slice(cut + i * batchSize, cut + (i + 1) * batchSize)
+      val batch = d.edges.slice(cut + i * SpadeBatchSize, cut + (i + 1) * SpadeBatchSize)
       val t0 = System.nanoTime()
       sp.insertBatch(batch)
       total += System.nanoTime() - t0
@@ -79,15 +82,13 @@ object Runner {
     * afterwards).
     */
   def runSpark(spark: SparkSession, metric: Metric, d: Dataset,
-               cfg: SparkPeeling.Config = SparkPeeling.Config()): Outcome = {
+               cfg: DupinLocal.Config = DupinLocal.Config()): Outcome = {
     val key = "spark.sql.shuffle.partitions"
     val prev = spark.conf.get(key)
     spark.conf.set(key, "8")
     try {
       val g = SparkGraph.fromDataset(spark, d)
-      val t0 = System.nanoTime()
-      val r = SparkPeeling.run(spark, g, metric, cfg)
-      Ok((System.nanoTime() - t0) / 1e9, r.bestDensity, r.rounds)
+      timed(SparkPeeling.run(spark, g, metric, cfg))
     } finally spark.conf.set(key, prev)
   }
 }

@@ -41,14 +41,17 @@ object Tables {
     def redLpo: Double = 100.0 * (roundsPlain - roundsLpo) / roundsPlain
   }
 
-  def pruningStats(metric: Metric, d: Dataset, epsHere: Double = 0.0): PruningStats = {
-    // ε=0: the tightest-batch regime, where Lemma 4.1 gives no shrink
-    // guarantee and the long tail manifests. (The paper's own Table-3
-    // round counts far exceed the ε=0.1 bound of Lemma 4.1 — its tail
-    // experiment likewise runs with a near-zero effective ε; at ε≥0.1 our
-    // analogues peel in a handful of giant batches and there is no tail.)
+  /** Table 3's ε, 0: the tightest-batch regime, where Lemma 4.1 gives no
+    * shrink guarantee and the long tail manifests. (The paper's own Table-3
+    * round counts far exceed the ε=0.1 bound of Lemma 4.1 — its tail
+    * experiment likewise runs with a near-zero effective ε; at ε≥0.1 our
+    * analogues peel in a handful of giant batches and there is no tail.)
+    */
+  private val PruningEps = 0.0
+
+  def pruningStats(metric: Metric, d: Dataset): PruningStats = {
     def cfg(g: Boolean, l: Boolean) =
-      DupinLocal.Config(eps = epsHere, gpo = g, lpo = l, threads = Runner.threads)
+      DupinLocal.Config(eps = PruningEps, gpo = g, lpo = l, threads = Runner.threads)
     val plain = DupinLocal.run(metric, d.graph, cfg(g = false, l = false))
     val gpo = DupinLocal.run(metric, d.graph, cfg(g = true, l = false))
     val lpo = DupinLocal.run(metric, d.graph, cfg(g = true, l = true))
@@ -74,7 +77,7 @@ object Tables {
       row("% Reduction (LPO)", "RedLPO", s => f"${s.redLpo}%.2f%%"),
     )
     (TableIO.emit("table3",
-      TableIO.render("Table 3: Impact of GPO and LPO on peeling rounds (dataset la, eps=0.1)",
+      TableIO.render(s"Table 3: Impact of GPO and LPO on peeling rounds (dataset la, eps=$PruningEps)",
         headers, rows)), stats)
   }
 

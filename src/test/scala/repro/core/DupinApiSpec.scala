@@ -5,11 +5,14 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{BooleanType, DoubleType, LongType}
 import org.scalacheck.Gen
 import repro.SparkSpec
+import repro.local.DupinLocal
 import repro.testkit.Check.forAll
+import repro.testkit.PeelView.view
 import repro.testkit.TestGraphs
 
 /** The Listing-1 style user API: metric plug-in via VSusp/ESusp,
-  * isBenign, setEpsilon, setK.
+  * isBenign, setEpsilon, setK. Tests that turn GPO or LPO off use the
+  * `private[core]` constructor that takes the whole config.
   */
 class DupinApiSpec extends SparkSpec {
   import spark.implicits._
@@ -21,12 +24,11 @@ class DupinApiSpec extends SparkSpec {
       .toDF("src", "dst", "amount")
 
   test("Listing 3 (DW): amount-weighted detection finds {u3..u6}") {
-    val dupin = new Dupin(spark)
+    val dupin = new Dupin(spark, DupinLocal.Config(gpo = false, lpo = false))
     val res = dupin
       .VSusp(lit(0.0))
       .ESusp(col("amount"))
       .setEpsilon(0.0)
-      .setPruning(globalOpt = false, localOpt = false)
       .LoadGraph(exampleVertices, exampleEdges)
       .ParDetect()
     assert(res.toSeq == Seq(2L, 3L, 4L, 5L))
@@ -191,9 +193,6 @@ class DupinApiSpec extends SparkSpec {
       (rnd.shuffle(id.toSeq.map(x => (x, rnd.nextInt(5) == 0))), rnd.shuffle(edges))
     }
 
-  private def view(r: SparkPeeling.Result) =
-    (r.bestSet.toSeq, r.bestDensity, r.rounds, r.longTailPeels, r.sparseTrims, r.history, r.truncated)
-
   /** `view` of `dupin`'s detection on the random raw graph, at budget 0
     * (every peel on the cluster) and at the default (on the driver).
     */
@@ -213,20 +212,41 @@ class DupinApiSpec extends SparkSpec {
       for (k <- Seq(3, 4); (gpo, lpo) <- Seq((false, false), (true, true))) {
         // Budget 0 lists the cliques on the cluster; the default collects
         // the edges and peels them on the driver.
-        val Seq(cluster, driver) = bothBudgets(new Dupin(spark).setK(k).setPruning(gpo, lpo), vs, es)
+        val Seq(cluster, driver) =
+          bothBudgets(new Dupin(spark, DupinLocal.Config(gpo = gpo, lpo = lpo)).setK(k), vs, es)
         assert(driver == cluster, s"k=$k gpo=$gpo lpo=$lpo")
       }
     }
   }
 
+  // An ESusp that differs per edge and per orientation, so the sums depend
+  // on the order they are added in.
+  private val orderedESusp = lit(0.1) + pmod(col("src") * 7 + col("dst") * 13, lit(10L)) / 7.0
+
   test("property: edge detection on the driver equals the distributed path") {
-    // An ESusp that differs per edge and per orientation, so the sums depend
-    // on the order they are added in.
-    val esusp = lit(0.1) + pmod(col("src") * 7 + col("dst") * 13, lit(10L)) / 7.0
     forAll(genRawGraph, n = 5) { case (vs, es) =>
       for ((gpo, lpo) <- Seq((false, false), (true, true))) {
-        val Seq(cluster, driver) = bothBudgets(new Dupin(spark).ESusp(esusp).setPruning(gpo, lpo), vs, es)
+        val Seq(cluster, driver) =
+          bothBudgets(new Dupin(spark, DupinLocal.Config(gpo = gpo, lpo = lpo)).ESusp(orderedESusp), vs, es)
         assert(driver == cluster, s"gpo=$gpo lpo=$lpo")
+      }
+    }
+  }
+
+  test("property: ParDetect maps the state indices of lastResult to the ascending non-benign ids") {
+    forAll(genRawGraph, n = 5) { case (vs, es) =>
+      val (vertices, edges) = (vs.toDF("id", "fraudFree"), es.toDF("src", "dst"))
+      val ids = vs.collect { case (id, false) => id }.sorted
+      val dupins = Seq("edge metric" -> (() => new Dupin(spark).ESusp(orderedESusp)),
+                       "setK(3)" -> (() => new Dupin(spark).setK(3)))
+      for (budget <- Seq(0L, SparkPeeling.DriverBudget); (what, dupin) <- dupins) {
+        SparkPeeling.driverBudget.withValue(budget) {
+          val d = dupin().isBenign(col("fraudFree")).LoadGraph(vertices, edges)
+          val found = d.ParDetect()
+          val r = d.lastResult
+          assert(found.toSeq == r.bestSet.toSeq.map(ids(_)), s"$what, budget $budget")
+          assert(r.order.sorted.toSeq == ids.indices, s"$what, budget $budget: order ${r.order.toSeq}")
+        }
       }
     }
   }
@@ -298,12 +318,11 @@ class DupinApiSpec extends SparkSpec {
   }
 
   test("larger epsilon never increases round count on the same graph") {
-    val dupinA = new Dupin(spark).ESusp(col("amount")).setEpsilon(0.05)
-      .setPruning(globalOpt = false, localOpt = false)
+    val plain = DupinLocal.Config(gpo = false, lpo = false)
+    val dupinA = new Dupin(spark, plain).ESusp(col("amount")).setEpsilon(0.05)
       .LoadGraph(exampleVertices, exampleEdges)
     dupinA.ParDetect()
-    val dupinB = new Dupin(spark).ESusp(col("amount")).setEpsilon(1.0)
-      .setPruning(globalOpt = false, localOpt = false)
+    val dupinB = new Dupin(spark, plain).ESusp(col("amount")).setEpsilon(1.0)
       .LoadGraph(exampleVertices, exampleEdges)
     dupinB.ParDetect()
     assert(dupinB.lastResult.rounds <= dupinA.lastResult.rounds)

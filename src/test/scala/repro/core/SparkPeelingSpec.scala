@@ -5,8 +5,9 @@ import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.local.{DupinLocal, LocalGraph}
+import repro.local.{DupinLocal, LocalGraph, PeelResult}
 import repro.testkit.Check.forAll
+import repro.testkit.PeelView.view
 import repro.testkit.TestGraphs
 
 /** The Spark dataflow engine: paper example, DuckDB oracle over the
@@ -21,30 +22,30 @@ class SparkPeelingSpec extends SparkSpec {
   private def localCfg(eps: Double, gpo: Boolean, lpo: Boolean) =
     DupinLocal.Config(eps = eps, gpo = gpo, lpo = lpo, threads = 1)
   private def sparkCfg(eps: Double, gpo: Boolean, lpo: Boolean) =
-    SparkPeeling.Config(eps = eps, gpo = gpo, lpo = lpo)
+    DupinLocal.Config(eps = eps, gpo = gpo, lpo = lpo)
 
   test("paper Fig. 5 on the Spark engine: 3 rounds, groups [u1,u2;u3,u4;u5,u6]") {
     val res = SparkPeeling.run(spark, sg(TestGraphs.paperExample), DW, sparkCfg(0.0, false, false))
     assert(res.rounds == 3)
     assert(math.abs(res.bestDensity - 2.75) < 1e-12)
-    assert(res.bestSet.toSeq == Seq(2L, 3L, 4L, 5L))
+    assert(res.bestSet.toSeq == Seq(2, 3, 4, 5))
   }
 
   test("DG on clique+tail returns the clique") {
     val res = SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(6, 8)), DG)
-    assert(res.bestSet.toSeq == (0L until 6L))
+    assert(res.bestSet.toSeq == (0 until 6))
     assert(math.abs(res.bestDensity - 2.5) < 1e-12)
   }
 
   test("TDS on clique+tail returns the clique (clique recount per round)") {
     val res = SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(5, 6)), TDS)
-    assert(res.bestSet.toSeq == (0L until 5L))
+    assert(res.bestSet.toSeq == (0 until 5))
     assert(math.abs(res.bestDensity - 2.0) < 1e-12)
   }
 
   test("kCLiDS-4 on clique+tail returns the clique") {
     val res = SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(5, 4)), KCliDS(4))
-    assert(res.bestSet.toSeq == (0L until 5L))
+    assert(res.bestSet.toSeq == (0 until 5))
     assert(math.abs(res.bestDensity - 1.0) < 1e-12)
   }
 
@@ -97,7 +98,8 @@ class SparkPeelingSpec extends SparkSpec {
         val spk = SparkPeeling.run(spark, sg(g), DG, sparkCfg(0.1, gpo, lpo))
         assert(spk.rounds == loc.rounds, s"rounds gpo=$gpo lpo=$lpo")
         assert(spk.bestDensity == loc.bestDensity, s"density gpo=$gpo lpo=$lpo")
-        assert(spk.bestSet.map(_.toInt).toSeq == loc.bestSet.toSeq, s"set gpo=$gpo lpo=$lpo")
+        assert(spk.bestSet.toSeq == loc.bestSet.toSeq, s"set gpo=$gpo lpo=$lpo")
+        assert(spk.order.toSeq == loc.order.toSeq, s"order gpo=$gpo lpo=$lpo")
         assert(spk.history == loc.history, s"history gpo=$gpo lpo=$lpo")
       }
     }
@@ -135,7 +137,8 @@ class SparkPeelingSpec extends SparkSpec {
         val loc = DupinLocal.run(TDS, g, localCfg(0.1, gpo, lpo))
         val spk = SparkPeeling.run(spark, sg(g), TDS, sparkCfg(0.1, gpo, lpo))
         assert(spk.bestDensity == loc.bestDensity, s"density gpo=$gpo lpo=$lpo")
-        assert(spk.bestSet.map(_.toInt).toSeq == loc.bestSet.toSeq, s"set gpo=$gpo lpo=$lpo")
+        assert(spk.bestSet.toSeq == loc.bestSet.toSeq, s"set gpo=$gpo lpo=$lpo")
+        assert(spk.order.toSeq == loc.order.toSeq, s"order gpo=$gpo lpo=$lpo")
         assert(spk.history == loc.history, s"history gpo=$gpo lpo=$lpo")
       }
     }
@@ -146,13 +149,14 @@ class SparkPeelingSpec extends SparkSpec {
       val loc = DupinLocal.run(KCliDS(4), g, localCfg(0.1, true, true))
       val spk = SparkPeeling.run(spark, sg(g), KCliDS(4), sparkCfg(0.1, true, true))
       assert(spk.bestDensity == loc.bestDensity)
-      assert(spk.bestSet.map(_.toInt).toSeq == loc.bestSet.toSeq)
+      assert(spk.bestSet.toSeq == loc.bestSet.toSeq)
+      assert(spk.order.toSeq == loc.order.toSeq)
     }
   }
 
   test("maxRounds cuts a run short and the result says so") {
     val g = sg(TestGraphs.cliqueWithTail(6, 8))
-    val cut = SparkPeeling.run(spark, g, DG, SparkPeeling.Config(maxRounds = 1))
+    val cut = SparkPeeling.run(spark, g, DG, DupinLocal.Config(maxRounds = 1))
     assert(cut.rounds == 1)
     assert(cut.truncated)
     val full = SparkPeeling.run(spark, g, DG)
@@ -173,7 +177,7 @@ class SparkPeelingSpec extends SparkSpec {
   }
 
   /** Spark jobs `run` starts, and its result. */
-  private def countJobs(run: => SparkPeeling.Result): (Int, SparkPeeling.Result) = {
+  private def countJobs(run: => PeelResult): (Int, PeelResult) = {
     val sc = spark.sparkContext
     val (group, marker) = ("job-budget", "job-budget-marker")
     val jobs = new AtomicInteger()
@@ -281,8 +285,6 @@ class SparkPeelingSpec extends SparkSpec {
     // partition's within its share), so it also gets a budget one member
     // short of that, which lists the cliques on the cluster and moves them
     // to the driver partway through.
-    def view(r: SparkPeeling.Result) =
-      (r.bestSet.toSeq, r.bestDensity, r.rounds, r.longTailPeels, r.sparseTrims, r.history, r.truncated)
     // Weights whose sums depend on the order they are added in, so a driver
     // merge out of partition order would show in DW's and FD's history.
     val g = TestGraphs.cliqueChain(3 to 9, (a, b) => 0.1 + (a * 7 + b * 13) % 10 / 7.0)
@@ -325,7 +327,8 @@ class SparkPeelingSpec extends SparkSpec {
       val what = s"$name ${m.name} gpo=$gpo lpo=$lpo"
       val loc = DupinLocal.run(m, g, localCfg(0.1, gpo, lpo))
       val spk = SparkPeeling.run(spark, sg(g), m, sparkCfg(0.1, gpo, lpo))
-      assert(spk.bestSet.map(_.toInt).toSeq == loc.bestSet.toSeq, what)
+      assert(spk.bestSet.toSeq == loc.bestSet.toSeq, what)
+      assert(spk.order.toSeq == loc.order.toSeq, what)
       assert(math.abs(spk.bestDensity - loc.bestDensity) <= 1e-12 * math.max(1.0, loc.bestDensity), what)
       assert(spk.history.size == loc.history.size, what)
       spk.history.zip(loc.history).foreach { case (a, b) => assert(math.abs(a - b) <= 1e-12, what) }
