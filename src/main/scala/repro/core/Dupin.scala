@@ -69,6 +69,11 @@ final class Dupin private[core] (spark: SparkSession, private var cfg: DupinLoca
     * benign endpoint. An edge metric's pass ([[SparkPeeling.runEdge]]) also
     * rejects (Property 3.1) a row whose `ESusp` is negative or non-finite;
     * a clique metric ([[SparkPeeling.runClique]]) does not read `ESusp`.
+    * That pass runs on the driver when the edge rows are there already (the
+    * edge frame, or the projection read, is a local relation, as `toDF` of
+    * a local collection makes) and fit [[SparkPeeling.DriverBudget]], so
+    * a detection on two such frames, edge metric or `setK`, starts no Spark
+    * job. Any other edge plan, or more rows, takes one job for that pass.
     * The engine's best set holds state indices; this is the one place they
     * become vertex ids.
     */

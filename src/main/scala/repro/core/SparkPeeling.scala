@@ -5,6 +5,7 @@ import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.execution.LocalTableScanExec
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.dupin.ColumnNodes
 import org.apache.spark.sql.types.{BooleanType, DataType, DoubleType, LongType}
@@ -36,11 +37,18 @@ import scala.reflect.ClassTag
   * those blocks in partition order and starts no job, so w, f and the
   * history are the same as with every peel on the cluster (the switch of
   * direction-optimising traversal, Beamer et al., SC'12, applied to a
-  * peeling table). A clique metric applies the same switch to its input:
-  * when the kept edges of the first pass fit the budget (2 members a row),
-  * the whole detection runs on the driver with the local engine's
-  * [[CliqueMetricState]] and starts no listing job at all. Clique counts
-  * are integers, so the result is bit-identical to the distributed one.
+  * peeling table). The table starts there when its input already is: if
+  * the edge frame's plan is a local table scan (a local relation, as
+  * `toDF` of a local collection makes) whose rows fit the budget, the first
+  * pass runs on the driver over the scan's own rows, cut into the blocks
+  * its RDD would have, so the deltas merge in the same order; the pass
+  * starts no Spark job (nor broadcast or checkpoint). Any other plan, or
+  * more rows, takes the first pass's one job. A clique metric applies the
+  * same switch to its input: when the kept edges of the first pass fit the
+  * budget (2 members a row), the whole detection runs on the driver with
+  * the local engine's [[CliqueMetricState]] and starts no listing job at
+  * all. Clique counts are integers, so the result is bit-identical to the
+  * distributed one.
   *
   * With the weights on the driver, every selection (τ, τ_max, the long-tail
   * count, the arg-min guard, the LPO trims, the best snapshot) is the local
@@ -120,8 +128,6 @@ object SparkPeeling {
       * local relation.
       */
     def collect(): Array[InternalRow] = frame.queryExecution.executedPlan.executeCollect()
-    /** The rows on the cluster, from the frame's own plan. */
-    def rdd: RDD[InternalRow] = frame.queryExecution.toRdd
 
     def isNull(r: InternalRow, j: Int): Boolean = if (at(j) < 0) const(j) == null else r.isNullAt(at(j))
     def long(r: InternalRow, j: Int): Long = if (at(j) < 0) const(j).asInstanceOf[Long] else r.getLong(at(j))
@@ -231,7 +237,7 @@ object SparkPeeling {
                             cfg: DupinLocal.Config): PeelResult = {
     val table = new Table(spark.sparkContext, v.ids.length, 2)
     val e = columns(edges, col("src") -> LongType, col("dst") -> LongType, esusp -> DoubleType)
-    val loaded = table.load(e.rdd, v.ids, v.benign, e.at.take(2), weightAt = e.at(2), weight = e.constant(2))
+    val loaded = table.load(e.frame, v.ids, v.benign, e.at.take(2), weightAt = e.at(2), weight = e.constant(2))
     peel(2, cfg, new ClusterState(v.vw, table, loaded))
   }
 
@@ -241,9 +247,11 @@ object SparkPeeling {
     * first pass ([[load]]) checks and drops them as [[runEdge]]'s does and
     * keeps the rest as state index pairs. If they fit the budget, the
     * detection runs on the driver: [[repro.local.LocalGraph.fromEdges]]
-    * builds the graph and the local [[CliqueMetricState]] peels it.
-    * Otherwise the cliques of the kept pairs are listed once on the
-    * cluster, and each peel drops the cliques that hold a peeled vertex.
+    * builds the graph and the local [[CliqueMetricState]] peels it. (When
+    * `edges` is a local relation that fits, the first pass runs on the
+    * driver too, and the detection starts no Spark job.) Otherwise the
+    * cliques of the kept pairs are listed once on the cluster, and each
+    * peel drops the cliques that hold a peeled vertex.
     */
   private[core] def runClique(spark: SparkSession, v: Vertices, edges: DataFrame, k: Int,
                               cfg: DupinLocal.Config): PeelResult = {
@@ -251,7 +259,7 @@ object SparkPeeling {
     val n = v.ids.length
     val e = columns(edges, col("src") -> LongType, col("dst") -> LongType)
     val kept = new Table(spark.sparkContext, n, 2)
-    kept.load(e.rdd, v.ids, v.benign, e.at, weightAt = -1, weight = 1.0)
+    kept.load(e.frame, v.ids, v.benign, e.at, weightAt = -1, weight = 1.0)
     if (kept.blocks != null) {
       val pairs = kept.blocks.flatMap(_.mem)
       kept.release()
@@ -270,10 +278,9 @@ object SparkPeeling {
             (math.min(a, b).toLong, math.max(a, b).toLong)
           }
         }.toDF("src", "dst")
-        // The members listed are state indices already: the identity ids
-        // load them.
-        listed.load(SparkCliques.cliques(canonical, k).queryExecution.toRdd, Array.tabulate(n)(_.toLong),
-          Array.emptyLongArray, Array.range(0, k), weightAt = -1, weight = 1.0)
+        // The members listed are state indices already (no `ids`).
+        listed.load(SparkCliques.cliques(canonical, k), null, Array.emptyLongArray, Array.range(0, k),
+          weightAt = -1, weight = 1.0)
       } finally kept.release()
       peel(k, cfg, new ClusterState(new Array[Double](n), listed, loaded))
     }
@@ -305,7 +312,7 @@ object SparkPeeling {
   /** A per-vertex accumulator over `n` vertices; `result` hands out one
     * block's sums and clears them, so one accumulator serves many blocks.
     */
-  private final class Sums(n: Int) {
+  private final class Sums(val n: Int) {
     private val acc = new Array[Double](n)
     private val seen = new Array[Boolean](n)
     private val idx = new mutable.ArrayBuilder.ofInt
@@ -327,19 +334,21 @@ object SparkPeeling {
     }
   }
 
-  /** The first pass over one partition of input rows, the only place an
-    * input id becomes a state index: the ids of a row are at the positions
-    * `at`, its weight at `weightAt` (`weight` for every row if negative).
-    * Rows are read as `InternalRow`s, so no `Row` object is made per input
-    * row. Every row is read, and the smallest id that is neither one of the
-    * ascending `ids` nor of the ascending `benign` ones is reported. A row
-    * with such an id, a null, a benign or a repeated one (a self-loop) is
-    * dropped; the rest are counted and kept while their weights are valid.
+  /** The first pass over one block of input rows, the only place an input
+    * id becomes a state index: the ids of a row are at the positions `at`,
+    * its weight at `weightAt` (`weight` for every row if negative). Rows are
+    * read as `InternalRow`s, so no `Row` object is made per input row. Every
+    * row is read, and the smallest id that is not a state index and not one
+    * of the ascending `benign` ids is reported. An id's state index is its
+    * position in the ascending `ids` or, where `ids` is null (the input
+    * holds state indices already), the id itself if it lies in
+    * `[0, sums.n)`. A row with an id that has none, a null, a benign or a
+    * repeated one (a self-loop) is dropped; the rest are counted into
+    * `sums` and kept while their weights are valid.
     */
-  private def load(ids: Array[Long], benign: Array[Long], at: Array[Int], weightAt: Int, weight: Double)(
-      it: Iterator[InternalRow]): (Rows, Delta) = {
+  private def load(sums: Sums, ids: Array[Long], benign: Array[Long], at: Array[Int], weightAt: Int,
+                   weight: Double)(it: Iterator[InternalRow]): (Rows, Delta) = {
     val arity = at.length
-    val sums = new Sums(ids.length)
     val mem = new mutable.ArrayBuilder.ofInt
     val wt = new mutable.ArrayBuilder.ofDouble
     val row = new Array[Int](arity)
@@ -353,7 +362,10 @@ object SparkPeeling {
       while (j < arity) {
         val id = r.getLong(at(j))
         // An InternalRow reads a null id as 0.
-        row(j) = if (r.isNullAt(at(j))) -1 else java.util.Arrays.binarySearch(ids, id)
+        row(j) =
+          if (r.isNullAt(at(j))) -1
+          else if (ids == null) (if (id >= 0 && id < sums.n) id.toInt else -1)
+          else java.util.Arrays.binarySearch(ids, id)
         if (row(j) < 0) {
           keep = false
           if (r.isNullAt(at(j))) { if (error == null) error = "edge endpoint null is not a row of vertices" }
@@ -413,7 +425,8 @@ object SparkPeeling {
 
   /** The rows (edges or cliques) of a peel over `n` vertices, `arity` state
     * indices each: `localCheckpoint`ed on the cluster, or on the driver,
-    * one block per partition, once they fit the budget.
+    * one block per partition, once they fit the budget (from the first pass
+    * on if the input's rows are on the driver already and fit it).
     */
   private final class Table(sc: SparkContext, n: Int, arity: Int) {
     private val budget = driverBudget.value
@@ -429,16 +442,39 @@ object SparkPeeling {
     /** The cluster-side rows (while `blocks` is null). */
     def rows: RDD[Rows] = cluster.map(_._1)
 
-    /** The first pass: [[load]] over every partition of `input`. Throws,
-      * with the rows dropped, if an endpoint is neither a vertex nor benign,
-      * naming the smallest over all partitions; otherwise if an endpoint is
-      * null or a kept row breaks Property 3.1, naming the first such row in
-      * partition order.
+    /** The first pass: [[load]] over every row of `input`, one block per
+      * partition of its plan. If that plan is a local table scan, whose rows
+      * are on the driver already, and they fit the budget (rows × arity; a
+      * budget of 0 keeps the pass on the cluster), the pass runs on the
+      * driver over the scan's own rows, cut as `parallelize` cuts them into
+      * the partitions of `input`'s RDD (block `i` of `p` holds rows
+      * `[i·len/p, (i+1)·len/p)`), and the table starts there: no broadcast,
+      * checkpoint or job. Any other plan, or more rows, takes one [[pass]].
+      * Throws, with the rows dropped, if an endpoint is neither a vertex
+      * nor benign, naming the smallest over all blocks; otherwise if an
+      * endpoint is null or a kept row breaks Property 3.1, naming the first
+      * such row in block order.
       */
-    def load(input: RDD[InternalRow], ids: Array[Long], benign: Array[Long], at: Array[Int],
+    def load(input: DataFrame, ids: Array[Long], benign: Array[Long], at: Array[Int],
              weightAt: Int, weight: Double): Array[Delta] = {
-      val deltas =
-        pass(input, (ids, benign))((a, it) => SparkPeeling.load(a._1, a._2, at, weightAt, weight)(it))
+      val onDriver = input.queryExecution.executedPlan match {
+        case scan: LocalTableScanExec if budget > 0 =>
+          Some(scan.executeCollect()).filter(_.length.toLong * arity <= budget)
+        case _ => None
+      }
+      val deltas = onDriver match {
+        case Some(rows) =>
+          val (len, p) = (rows.length.toLong, input.queryExecution.toRdd.getNumPartitions)
+          val sums = new Sums(n)
+          held(Array.tabulate(p) { i =>
+            val block = Iterator.range((i * len / p).toInt, ((i + 1) * len / p).toInt).map(rows(_))
+            SparkPeeling.load(sums, ids, benign, at, weightAt, weight)(block)
+          })
+        case None =>
+          val nn = n
+          pass(input.queryExecution.toRdd, (ids, benign))((a, it) =>
+            SparkPeeling.load(new Sums(nn), a._1, a._2, at, weightAt, weight)(it))
+      }
       val missing = deltas.foldLeft(Long.MaxValue)((m, d) => math.min(m, d.missing))
       val error =
         if (missing != Long.MaxValue) s"edge endpoint $missing is not a row of vertices"
@@ -457,24 +493,32 @@ object SparkPeeling {
       }
       if (blocks != null) {
         val sums = new Sums(n)
-        val out = blocks.map(drop(sums, peeled))
-        blocks = out.map(_._1)
-        val deltas = out.map(_._2)
-        rowsLeft = deltas.map(_.kept.toLong).sum
-        deltas
+        held(blocks.map(drop(sums, peeled)))
       } else {
         val nn = n
         pass(cluster, peeled)((p, it) => drop(new Sums(nn), p)(it.next()._1))
       }
     }
 
-    /** One job: `step` runs on every partition of `src` with `arg` as a
-      * broadcast; the rows it keeps are checkpointed as the new table and
-      * its deltas come back in partition order. A partition's kept rows
-      * come back with its delta when they fit its share of the budget; if
-      * the whole table fits and every block came back, it moves to the
-      * driver and the cluster copy is dropped. (If a skewed block stayed
-      * behind, the next peel collects the blocks instead of running a pass.)
+    /** The blocks and deltas of a pass on the driver: the blocks are the
+      * table now.
+      */
+    private def held(out: Array[(Rows, Delta)]): Array[Delta] = {
+      blocks = out.map(_._1)
+      val deltas = out.map(_._2)
+      rowsLeft = deltas.map(_.kept.toLong).sum
+      deltas
+    }
+
+    /** One job, for a first pass whose input is not on the driver and for
+      * each peel while the table is on the cluster: `step` runs on every
+      * partition of `src` with `arg` as a broadcast; the rows it keeps are
+      * checkpointed as the new table and its deltas come back in partition
+      * order. A partition's kept rows come back with its delta when they fit
+      * its share of the budget; if the whole table fits and every block came
+      * back, it moves to the driver and the cluster copy is dropped. (If a
+      * skewed block stayed behind, the next peel collects the blocks instead
+      * of running a pass.)
       */
     private def pass[A: ClassTag, T](src: RDD[T], arg: A)(
         step: (A, Iterator[T]) => (Rows, Delta)): Array[Delta] = {

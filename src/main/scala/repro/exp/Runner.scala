@@ -74,21 +74,21 @@ object Runner {
     Ok(total / 1e9 / nb, sp.reportedDensity, nb)
   }
 
-  /** Supplemental: Dupin's Spark dataflow engine, timed end-to-end. The
-    * peels start no shuffle; the setting sizes only the shuffles of
+  /** Supplemental: Dupin's Spark dataflow engine with the default
+    * `DupinLocal.Config()`, timed end-to-end. The peels start no shuffle;
+    * the setting sizes only the shuffles of
     * [[SparkGraph.apply]]'s canonicalisation and FD's
     * [[SparkPeeling.fraudarEdges]], whose frames are small, so shuffle
     * parallelism is dialed down for the duration of the run (restored
     * afterwards).
     */
-  def runSpark(spark: SparkSession, metric: Metric, d: Dataset,
-               cfg: DupinLocal.Config = DupinLocal.Config()): Outcome = {
+  def runSpark(spark: SparkSession, metric: Metric, d: Dataset): Outcome = {
     val key = "spark.sql.shuffle.partitions"
     val prev = spark.conf.get(key)
     spark.conf.set(key, "8")
     try {
       val g = SparkGraph.fromDataset(spark, d)
-      timed(SparkPeeling.run(spark, g, metric, cfg))
+      timed(SparkPeeling.run(spark, g, metric))
     } finally spark.conf.set(key, prev)
   }
 }

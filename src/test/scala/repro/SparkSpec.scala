@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -14,6 +17,36 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Spark jobs `run` starts, and its result. */
+  def countJobs[A](run: => A): (Int, A) = {
+    val sc = spark.sparkContext
+    val (group, marker) = ("job-budget", "job-budget-marker")
+    val jobs = new AtomicInteger()
+    val drained = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(js: SparkListenerJobStart): Unit =
+        Option(js.properties).map(_.getProperty("spark.jobGroup.id")) match {
+          case Some(`group`) => jobs.incrementAndGet()
+          case Some(`marker`) => drained.countDown()
+          case _ =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "job budget")
+      val r = run
+      // The bus delivers events in order: once the marker job's start has
+      // arrived, so has every job start of the run.
+      sc.setJobGroup(marker, "drain the listener bus")
+      sc.parallelize(Seq(1), 1).count()
+      assert(drained.await(60, TimeUnit.SECONDS), "listener bus did not drain")
+      (jobs.get, r)
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{AnalysisException, Column, DataFrame}
+import org.apache.spark.sql.execution.LocalTableScanExec
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{BooleanType, DoubleType, LongType}
 import org.scalacheck.Gen
@@ -233,6 +234,58 @@ class DupinApiSpec extends SparkSpec {
     }
   }
 
+  test("property: the driver first pass cuts 0, 1, few and many edge rows as the cluster pass does") {
+    // A local relation's rows fit the default budget, so its first pass runs
+    // on the driver, one block per partition of the relation's RDD; budget 0
+    // runs it on the cluster. The partitions are min(rows, parallelism):
+    // none for 0 rows, one a row below the parallelism, and slices of
+    // several rows for many, which are the graph's rows 8 times over.
+    val p = spark.sparkContext.defaultParallelism
+    forAll(genRawGraph, n = 4) { case (vs, es) =>
+      val vertices = vs.toDF("id", "fraudFree")
+      val dupins = Seq("edge metric" -> (() => new Dupin(spark).ESusp(orderedESusp)),
+                       "setK(3)" -> (() => new Dupin(spark).setK(3)))
+      for (rows <- Seq(Nil, es.take(1), es.take(p - 1), Seq.fill(8)(es).flatten); (what, dupin) <- dupins) {
+        val edges = rows.toDF("src", "dst")
+        assert(edges.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec])
+        val Seq((clusterJobs, cluster), (driverJobs, driver)) = Seq(0L, SparkPeeling.DriverBudget).map { b =>
+          SparkPeeling.driverBudget.withValue(b) {
+            countJobs {
+              val d = dupin().isBenign(col("fraudFree")).LoadGraph(vertices, edges)
+              d.ParDetect()
+              view(d.lastResult)
+            }
+          }
+        }
+        val at = s"$what, ${rows.size} rows"
+        assert(driver == cluster, at)
+        assert(driverJobs == 0 && clusterJobs >= 1, s"$at: jobs $clusterJobs at budget 0, $driverJobs at the default")
+      }
+    }
+  }
+
+  test("the driver first pass names the same bad row as the cluster pass") {
+    // Four rows, one a block at the default parallelism of 4: the far end 9
+    // of (3, 9) comes in an earlier block than the far end 7 of (1, 7).
+    val vertices = Seq(1L, 2L, 3L).map(id => (id, 0.0)).toDF("id", "prior")
+    val dangling = Seq((1L, 2L), (2L, 3L), (3L, 9L), (1L, 7L)).toDF("src", "dst")
+    val nullEnd = Seq((Some(1L), Some(2L)), (Some(2L), None), (None, Some(3L))).toDF("src", "dst")
+    val triangle = Seq((1L, 2L), (2L, 3L), (1L, 3L)).toDF("src", "dst")
+    val negative = when(col("src") === 2L, lit(-1.0)).otherwise(lit(1.0))
+    val cases = Seq(
+      (() => new Dupin(spark), dangling, "edge endpoint 7 "),
+      (() => new Dupin(spark).setK(3), dangling, "edge endpoint 7 "),
+      (() => new Dupin(spark), nullEnd, "edge endpoint null "),
+      (() => new Dupin(spark).setK(3), nullEnd, "edge endpoint null "),
+      (() => new Dupin(spark).ESusp(negative), triangle, "edge (2, 3) has suspiciousness -1.0;"))
+    for ((dupin, edges, expected) <- cases; budget <- Seq(0L, SparkPeeling.DriverBudget)) {
+      val (jobs, err) = SparkPeeling.driverBudget.withValue(budget)(countJobs(
+        intercept[IllegalArgumentException](dupin().LoadGraph(vertices, edges).ParDetect())))
+      assert(err.getMessage.contains(expected), s"budget $budget: ${err.getMessage}")
+      assert((jobs == 0) == (budget > 0), s"$expected at budget $budget: $jobs jobs")
+    }
+  }
+
   test("property: ParDetect maps the state indices of lastResult to the ascending non-benign ids") {
     forAll(genRawGraph, n = 5) { case (vs, es) =>
       val (vertices, edges) = (vs.toDF("id", "fraudFree"), es.toDF("src", "dst"))
@@ -421,6 +474,42 @@ class DupinApiSpec extends SparkSpec {
       assert(bothReads(run(vr, er)).forall(_ == local), s"k=$k")
       // A second detection on the same frames reads their plans again.
       assert(run(vr, er) == local, s"k=$k")
+    }
+  }
+
+  test("a local-relation ParDetect starts no Spark job; budget 0 and other plans take the first pass's") {
+    val (vs, es) = (readVertices, readEdges)
+    def detect(dupin: Dupin, edges: DataFrame) = countJobs {
+      dupin.isBenign(col("fraudFree")).LoadGraph(vs, edges).ParDetect()
+      view(dupin.lastResult)
+    }
+    // An expression ESusp is read through a projection of the edge frame;
+    // Spark's optimiser folds a projection of a local relation into a new
+    // local relation (ConvertToLocalRelation), so those rows are on the
+    // driver too.
+    val projected = SparkPeeling.columns(es, col("src") -> LongType, col("dst") -> LongType,
+      orderedESusp -> DoubleType).frame
+    assert((projected ne es) && projected.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec])
+    val dupins = Seq(
+      "edge metric read in place" -> (() => new Dupin(spark).VSusp(col("prior")).ESusp(col("amount"))),
+      "expression ESusp" -> (() => new Dupin(spark).VSusp(col("prior")).ESusp(orderedESusp)),
+      "setK(3)" -> (() => new Dupin(spark).setK(3)))
+    for ((what, dupin) <- dupins) {
+      val (jobs, local) = detect(dupin(), es)
+      assert(jobs == 0, s"$what: $jobs jobs")
+      // Budget 0 keeps the first pass, and every peel, on the cluster.
+      val (clusterJobs, cluster) = SparkPeeling.driverBudget.withValue(0L)(detect(dupin(), es))
+      assert(clusterJobs >= 1 && cluster == local, s"$what: $clusterJobs jobs at budget 0")
+      // A plan that is not a local table scan runs its first pass as one
+      // job, which brings the rows to the driver. A repartitioned frame
+      // adds the job in which Spark's adaptive execution runs the shuffle's
+      // map stage before planning the rest.
+      val rdd = spark.sparkContext.parallelize(es.collect().toSeq, 3).map(r => (r.getLong(0), r.getLong(1),
+        r.getDouble(2))).toDF("src", "dst", "amount")
+      for ((plan, edges, expected) <- Seq(("an RDD", rdd, 1), ("a repartition", es.repartition(3), 2))) {
+        val (otherJobs, _) = detect(dupin(), edges)
+        assert(otherJobs == expected, s"$what, $plan: $otherJobs jobs")
+      }
     }
   }
 

@@ -1,11 +1,8 @@
 package repro.core
 
-import java.util.concurrent.{CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.local.{DupinLocal, LocalGraph, PeelResult}
+import repro.local.{DupinLocal, LocalGraph}
 import repro.testkit.Check.forAll
 import repro.testkit.PeelView.view
 import repro.testkit.TestGraphs
@@ -176,59 +173,32 @@ class SparkPeelingSpec extends SparkSpec {
     }
   }
 
-  /** Spark jobs `run` starts, and its result. */
-  private def countJobs(run: => PeelResult): (Int, PeelResult) = {
-    val sc = spark.sparkContext
-    val (group, marker) = ("job-budget", "job-budget-marker")
-    val jobs = new AtomicInteger()
-    val drained = new CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(js: SparkListenerJobStart): Unit =
-        Option(js.properties).map(_.getProperty("spark.jobGroup.id")) match {
-          case Some(`group`) => jobs.incrementAndGet()
-          case Some(`marker`) => drained.countDown()
-          case _ =>
-        }
-    }
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup(group, "job budget")
-      val r = run
-      // The bus delivers events in order: once the marker job's start has
-      // arrived, so has every job start of the run.
-      sc.setJobGroup(marker, "drain the listener bus")
-      sc.parallelize(Seq(1), 1).count()
-      assert(drained.await(60, TimeUnit.SECONDS), "listener bus did not drain")
-      (jobs.get, r)
-    } finally {
-      sc.clearJobGroup()
-      sc.removeSparkListener(listener)
-    }
-  }
-
   test("TDS under GPO+LPO stays within a Spark-job budget per snapshot") {
-    // On this graph the run takes 1 job over 3 snapshots: its 64 input
-    // edges fit the driver budget, so the one pass that checks them brings
-    // them to the driver, where they are peeled. Listing the triangles on
-    // the cluster first, it took 3 (two shuffle stages for the listing, one
-    // pass that brought the rows to the driver); with each peel one more
-    // pass over the table and the listing a three-way self-join, 6; with
-    // the weights re-aggregated on the cluster every snapshot, 21 (7.0
-    // each); re-running the self-join every snapshot as well, 50.
+    // On this graph the run takes no job over 3 snapshots: `sg` makes local
+    // relations, and its 64 input edges fit the driver budget, so the one
+    // pass that checks them runs on the driver, where they are peeled.
+    // Running that pass on the cluster, it took 1 job; listing the
+    // triangles on the cluster first, 3 (two shuffle stages for the
+    // listing, one pass that brought the rows to the driver); with each
+    // peel one more pass over the table and the listing a three-way
+    // self-join, 6; with the weights re-aggregated on the cluster every
+    // snapshot, 21 (7.0 each); re-running the self-join every snapshot as
+    // well, 50.
     val (jobs, res) = countJobs(SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(8, 30)), TDS,
       sparkCfg(0.1, true, true)))
-    assert(jobs <= 1, s"$jobs jobs")
+    assert(jobs == 0, s"$jobs jobs")
     val perSnapshot = jobs.toDouble / res.history.size
     assert(perSnapshot < 5.0, s"$jobs jobs over ${res.history.size} snapshots")
   }
 
   test("kCLiDS-4 under GPO+LPO stays within a Spark-job budget per snapshot") {
-    // 1 job, as for TDS: the edges fit the driver budget. Listing the
-    // 4-cliques on the cluster first, it took 4 (three shuffle stages for
-    // the listing, one pass that brought the rows to the driver).
+    // No job, as for TDS: the edges are a local relation that fits the
+    // driver budget. Running the first pass on the cluster, it took 1;
+    // listing the 4-cliques on the cluster first, 4 (three shuffle stages
+    // for the listing, one pass that brought the rows to the driver).
     val (jobs, res) = countJobs(SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(8, 30)), KCliDS(4),
       sparkCfg(0.1, true, true)))
-    assert(jobs <= 1, s"$jobs jobs")
+    assert(jobs == 0, s"$jobs jobs")
     val perSnapshot = jobs.toDouble / res.history.size
     assert(perSnapshot < 5.0, s"$jobs jobs over ${res.history.size} snapshots")
   }
@@ -252,27 +222,29 @@ class SparkPeelingSpec extends SparkSpec {
   }
 
   test("DW under GPO+LPO stays within a Spark-job budget per snapshot") {
-    // 1 job over 3 snapshots (0.33 each): the initial pass, which brings the
-    // edges to the driver, where both peels run. With each peel a pass over
-    // the edges on the cluster it took 2 (the last peel empties S and needs
-    // none); with the weights re-aggregated on the cluster every snapshot
-    // and the peeled ids anti-joined out of the vertex and edge frames, 27.
+    // No job over 3 snapshots: the initial pass runs on the driver over the
+    // local relation's rows, and both peels run there. With that pass on
+    // the cluster it took 1 (0.33 a snapshot); with each peel a pass over
+    // the edges on the cluster, 2 (the last peel empties S and needs none);
+    // with the weights re-aggregated on the cluster every snapshot and the
+    // peeled ids anti-joined out of the vertex and edge frames, 27.
     val (jobs, res) = countJobs(SparkPeeling.run(spark, sg(TestGraphs.cliqueWithTail(8, 30)), DW,
       sparkCfg(0.1, true, true)))
-    assert(jobs <= 1, s"$jobs jobs")
+    assert(jobs == 0, s"$jobs jobs")
     val perSnapshot = jobs.toDouble / res.history.size
     assert(perSnapshot < 5.0, s"$jobs jobs over ${res.history.size} snapshots")
   }
 
   test("edge ParDetect under GPO+LPO stays within a Spark-job budget per snapshot") {
-    // 1 job over 3 snapshots: the first pass over the raw edge rows, which
-    // checks the endpoints and brings the edges to the driver, where both
-    // peels run. With a shuffle that summed repeated edges before that pass,
-    // 2; with the endpoints also checked by a `fold` job of their own, 3.
+    // No job over 3 snapshots: the first pass over the raw edge rows, which
+    // checks the endpoints, runs on the driver over the local relation's
+    // rows, and both peels run there. With that pass on the cluster, 1;
+    // with a shuffle that summed repeated edges before it, 2; with the
+    // endpoints also checked by a `fold` job of their own, 3.
     val g = sg(TestGraphs.cliqueWithTail(8, 30))
     val dupin = new Dupin(spark).ESusp(col("w")).LoadGraph(g.vertices, g.edges)
     val (jobs, res) = countJobs { dupin.ParDetect(); dupin.lastResult }
-    assert(jobs <= 1, s"$jobs jobs")
+    assert(jobs == 0, s"$jobs jobs")
     val perSnapshot = jobs.toDouble / res.history.size
     assert(perSnapshot < 5.0, s"$jobs jobs over ${res.history.size} snapshots")
   }
