@@ -299,7 +299,7 @@ object SparkPeeling {
     def weight(r: Int): Double = if (wt == null) unit else wt(r)
   }
 
-  /** What one partition's pass reports: the rows it counted took `sum(i)`
+  /** What one block's pass reports: the rows it counted took `sum(i)`
     * from vertex `idx(i)` (ascending) and `total` in all; `kept` rows stay
     * in the table. A first pass also reports the smallest endpoint that is
     * neither a vertex nor benign (`missing`, `Long.MaxValue` if none) and
